@@ -57,7 +57,7 @@ void BftCluster::init(std::vector<double> weights,
           static_cast<ReplicaId>(i), weights, directory, registry_,
           keys[i], *network_, ropts));
     } else {
-      replicas_.push_back(std::make_unique<Replica>(
+      replicas_.push_back(std::make_unique<replication::Pbft>(
           static_cast<ReplicaId>(i), weights, directory, registry_,
           keys[i], *network_, ropts));
     }
@@ -67,16 +67,16 @@ void BftCluster::init(std::vector<double> weights,
   real_executed_.assign(n, 0);
 }
 
-Replica& BftCluster::replica(std::size_t i) {
+replication::Pbft& BftCluster::replica(std::size_t i) {
   FINDEP_REQUIRE_MSG(options_.protocol == replication::Protocol::kPbft,
                      "replica() requires protocol=pbft; use node()");
-  return static_cast<Replica&>(*replicas_[i]);
+  return static_cast<replication::Pbft&>(*replicas_[i]);
 }
 
-const Replica& BftCluster::replica(std::size_t i) const {
+const replication::Pbft& BftCluster::replica(std::size_t i) const {
   FINDEP_REQUIRE_MSG(options_.protocol == replication::Protocol::kPbft,
                      "replica() requires protocol=pbft; use node()");
-  return static_cast<const Replica&>(*replicas_[i]);
+  return static_cast<const replication::Pbft&>(*replicas_[i]);
 }
 
 replication::HotStuff& BftCluster::hotstuff(std::size_t i) {

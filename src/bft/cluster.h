@@ -10,12 +10,17 @@
 #include <memory>
 #include <vector>
 
-#include "bft/replica.h"
 #include "net/network.h"
 #include "replication/hotstuff.h"
+#include "replication/pbft.h"
 #include "sim/simulator.h"
 
 namespace findep::bft {
+
+/// The replica options and fault behaviours a cluster is built from
+/// (defined with the protocols in replication/options.h).
+using Behavior = replication::Behavior;
+using ReplicaOptions = replication::ReplicaOptions;
 
 struct ClusterOptions {
   net::NetworkOptions network;
@@ -77,8 +82,8 @@ class BftCluster {
     return *replicas_[i];
   }
   /// PBFT-typed view of replica i. Requires protocol == kPbft.
-  [[nodiscard]] Replica& replica(std::size_t i);
-  [[nodiscard]] const Replica& replica(std::size_t i) const;
+  [[nodiscard]] replication::Pbft& replica(std::size_t i);
+  [[nodiscard]] const replication::Pbft& replica(std::size_t i) const;
   /// HotStuff-typed view of replica i. Requires protocol == kHotStuff.
   [[nodiscard]] replication::HotStuff& hotstuff(std::size_t i);
   [[nodiscard]] const replication::HotStuff& hotstuff(std::size_t i) const;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "support/assert.h"
-
 namespace findep::replication {
 
 bft::SeqNum CheckpointStore::maybe_emit(bft::SeqNum last_executed,
@@ -71,12 +69,11 @@ void CheckpointStore::prune_votes() {
   }
 }
 
-StateFetchMachine::StateFetchMachine(const NodeHarness& harness, Hooks hooks)
+StateFetchMachine::StateFetchMachine(NodeHarness& harness,
+                                     const bft::SeqNum& horizon)
     : harness_(&harness),
-      hooks_(std::move(hooks)),
+      horizon_(&horizon),
       st_rng_(support::mix64(harness.options().rng_seed)) {
-  FINDEP_REQUIRE(hooks_.horizon != nullptr);
-  FINDEP_REQUIRE(hooks_.send_request != nullptr);
   peer_claims_.assign(harness.n(), 0);
 }
 
@@ -94,7 +91,7 @@ bft::SeqNum StateFetchMachine::catchup_target() const {
   // stable checkpoint at S — Byzantine peers alone (< 1/3) cannot
   // fabricate a target, and an inflated single claim is skipped over
   // until honest weight joins the count.
-  const bft::SeqNum horizon = hooks_.horizon();
+  const bft::SeqNum horizon = *horizon_;
   std::vector<std::pair<bft::SeqNum, double>> claims;
   for (bft::ReplicaId r = 0; r < peer_claims_.size(); ++r) {
     if (r == harness_->id()) continue;
@@ -148,7 +145,7 @@ void StateFetchMachine::tick() {
       candidates[st_rng_.below(candidates.size())];
   last_fetch_peer_ = peer;
   ++requests_sent_;
-  hooks_.send_request(peer);
+  harness_->send_to(peer, bft::StateRequest{*horizon_});
   timer_ = harness_->simulator().schedule_after(
       harness_->options().state_transfer_timeout, [this] {
         timer_.reset();

@@ -10,15 +10,13 @@
 // it records peers' signed claims of stable/executed seqs, detects when
 // > 1/3 of voting power credibly certifies state above our execution
 // horizon (so at least one *honest* peer can prove a stable checkpoint
-// there), and runs the grace → fetch → retry-elsewhere timer machine.
-// The protocol supplies two hooks: its execution horizon and the actual
-// StateRequest send; everything else — including the replica-local RNG
-// for peer choice — lives here, so PBFT and HotStuff share one tested
-// recovery path.
+// there), and runs the grace → fetch → retry-elsewhere timer machine,
+// including the replica-local RNG for peer choice and the StateRequest
+// send itself. Both live inside ExecutionTail (replication/tail.h), so
+// PBFT and HotStuff share one tested recovery path.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <vector>
@@ -91,14 +89,9 @@ class CheckpointStore {
 
 class StateFetchMachine {
  public:
-  struct Hooks {
-    /// The protocol's execution horizon (its last executed seq).
-    std::function<bft::SeqNum()> horizon;
-    /// Sends StateRequest{horizon} to the chosen peer.
-    std::function<void(bft::ReplicaId)> send_request;
-  };
-
-  StateFetchMachine(const NodeHarness& harness, Hooks hooks);
+  /// `horizon` is the owner's last executed seq, read live: claims are
+  /// judged against it and every StateRequest asks for the log above it.
+  StateFetchMachine(NodeHarness& harness, const bft::SeqNum& horizon);
 
   /// Records a peer's signed claim of a stable/executed seq (checkpoint
   /// votes, view-change stable fields, new-view proofs, QC heights). One
@@ -138,8 +131,8 @@ class StateFetchMachine {
   /// re-arm the retry timer.
   void tick();
 
-  const NodeHarness* harness_;
-  Hooks hooks_;
+  NodeHarness* harness_;
+  const bft::SeqNum* horizon_;
   /// Highest checkpoint/stable seq each peer has credibly (signed)
   /// claimed; fixed size n. Feeds catchup_target().
   std::vector<bft::SeqNum> peer_claims_;

@@ -1,25 +1,10 @@
 #include "replication/pbft.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <type_traits>
 #include <variant>
 
 #include "support/assert.h"
-
-/// Protocol event tracing for debugging stalled clusters: set
-/// FINDEP_BFT_TRACE=1 to log proposals, commits and view-change starts
-/// with timestamps. Purely observational — tracing never changes
-/// behaviour, so traced runs stay bit-identical to silent ones.
-#define FINDEP_BFT_TRACE(...)                                        \
-  do {                                                               \
-    static const bool findep_bft_trace_enabled =                     \
-        std::getenv("FINDEP_BFT_TRACE") != nullptr;                  \
-    if (findep_bft_trace_enabled) {                                  \
-      std::printf(__VA_ARGS__);                                      \
-    }                                                                \
-  } while (0)
 
 namespace findep::replication {
 
@@ -31,16 +16,7 @@ Pbft::Pbft(ReplicaId id, std::vector<double> weights,
            net::SimNetwork& network, ReplicaOptions options)
     : OrderingProtocol(id, std::move(weights), std::move(directory),
                        registry, std::move(keys), network,
-                       std::move(options), Protocol::kPbft),
-      ckpt_(harness_),
-      fetch_(harness_,
-             StateFetchMachine::Hooks{
-                 [this] { return last_executed_; },
-                 [this](ReplicaId peer) {
-                   send_to(peer, StateRequest{last_executed_});
-                 }}) {}
-
-void Pbft::start() { harness_.start(); }
+                       std::move(options), Protocol::kPbft) {}
 
 // --- dispatch --------------------------------------------------------------
 
@@ -115,10 +91,9 @@ void Pbft::dispatch_payload(const Envelope& env, net::NodeId raw_from,
           } else if constexpr (std::is_same_v<T, NewView>) {
             on_newview(m, env.sender);
           } else if constexpr (std::is_same_v<T, StateRequest>) {
-            on_state_request(m, env.sender);
+            tail_.on_state_request(m, env.sender, last_new_view_);
           } else if constexpr (std::is_same_v<T, StateResponse>) {
-            state_transfer_bytes_ += raw_bytes;
-            on_state_response(m, env.sender);
+            on_state_response(m, env.sender, raw_bytes);
           }
           // HotStuff payloads fall through: a PBFT replica ignores the
           // other lane's traffic entirely.
@@ -128,9 +103,9 @@ void Pbft::dispatch_payload(const Envelope& env, net::NodeId raw_from,
 }
 
 void Pbft::replay_future_messages() {
-  std::vector<Envelope> pending;
-  pending.swap(future_messages_);
-  for (Envelope& env : pending) {
+  std::vector<Envelope> replay;
+  replay.swap(future_messages_);
+  for (Envelope& env : replay) {
     std::visit(
         [&](const auto& m) {
           using T = std::decay_t<decltype(m)>;
@@ -162,14 +137,14 @@ void Pbft::submit(const Request& request) {
 }
 
 void Pbft::on_request(const Request& request, net::NodeId from) {
-  if (request.id != 0 && executed_ids_.contains(request.id)) return;
+  if (tail_.has_executed(request.id)) return;
   if (options().behavior == Behavior::kCensor && (request.id & 1) != 0) {
     return;  // client-selective starvation: odd-id requests vanish here
   }
-  if (!pending_requests_.contains(request.id)) {
+  if (!tail_.pending().contains(request.id)) {
     track_request_deadline(request.id);
   }
-  pending_requests_[request.id] = request;
+  tail_.pending()[request.id] = request;
   arm_request_timer();
   if (in_view_change_) return;
   if (is_primary()) {
@@ -184,7 +159,7 @@ void Pbft::enqueue_for_proposal(const Request& request) {
   FINDEP_REQUIRE(is_primary());
   if (request.id != 0 &&
       (queued_ids_.contains(request.id) || assigned_.contains(request.id) ||
-       executed_ids_.contains(request.id))) {
+       tail_.has_executed(request.id))) {
     return;
   }
   batch_queue_.push_back(request);
@@ -202,7 +177,7 @@ void Pbft::enqueue_for_proposal(const Request& request) {
 void Pbft::cut_batch() {
   disarm_batch_timer();
   if (batch_queue_.empty()) return;
-  if (next_seq_ > ckpt_.stable() + options().high_watermark_window) {
+  if (next_seq_ > stable_checkpoint() + options().high_watermark_window) {
     // High-watermark back-pressure: the queue holds the batch until the
     // stable checkpoint advances (retry_deferred_cut), bounding in-flight
     // consensus state instead of letting a fast primary outrun a slow
@@ -232,9 +207,6 @@ void Pbft::retry_deferred_cut() {
 void Pbft::propose(Batch batch) {
   FINDEP_REQUIRE(is_primary());
   const SeqNum seq = next_seq_++;
-  FINDEP_BFT_TRACE("t=%.3f [%u] propose seq=%llu view=%llu size=%zu\n",
-                   sim().now(), id(), (unsigned long long)seq,
-                   (unsigned long long)view_, batch.size());
   for (const Request& r : batch.requests) {
     if (r.id != 0) assigned_[r.id] = seq;
   }
@@ -285,9 +257,9 @@ void Pbft::on_preprepare(const PrePrepare& pp, ReplicaId from) {
   if (from != primary_of(pp.view)) return;
   // Reject by our own execution horizon, not the stable checkpoint: a
   // lagging replica may adopt a *remote* stable checkpoint above its own
-  // last_executed_ and, with no state transfer, must still be able to
+  // last_executed() and, with no state transfer, must still be able to
   // finish its in-flight slots below it (same in on_prepare/on_commit).
-  if (pp.seq <= last_executed_) return;
+  if (pp.seq <= last_executed()) return;
   accept_preprepare(pp);
 }
 
@@ -313,9 +285,9 @@ void Pbft::accept_preprepare(const PrePrepare& pp) {
   // via the primary.
   bool tracked = false;
   for (const Request& r : slot.batch.requests) {
-    if (r.id != 0 && !executed_ids_.contains(r.id)) {
-      if (!pending_requests_.contains(r.id)) track_request_deadline(r.id);
-      pending_requests_[r.id] = r;
+    if (r.id != 0 && !tail_.has_executed(r.id)) {
+      if (!tail_.pending().contains(r.id)) track_request_deadline(r.id);
+      tail_.pending()[r.id] = r;
       tracked = true;
     }
   }
@@ -328,7 +300,7 @@ void Pbft::on_prepare(const Prepare& p, ReplicaId from) {
   if (options().behavior == Behavior::kCollude) {
     collude_endorse(p.view, p.seq, p.request_digest);
   }
-  if (p.seq <= last_executed_) return;
+  if (p.seq <= last_executed()) return;
   Slot& slot = slots_[p.seq];
   slot.prepare_votes[p.request_digest][from] = weight_of(from);
   maybe_prepared(p.seq);
@@ -341,7 +313,7 @@ void Pbft::maybe_prepared(SeqNum seq) {
   if (!slot.have_preprepare || slot.prepared) return;
   const auto votes = slot.prepare_votes.find(slot.batch_digest);
   if (votes == slot.prepare_votes.end()) return;
-  if (!is_quorum(vote_weight(votes->second))) return;
+  if (!is_quorum(harness_.vote_weight(votes->second))) return;
 
   slot.prepared = true;
   slot.prepared_view = view_;
@@ -358,7 +330,7 @@ void Pbft::on_commit(const Commit& c, ReplicaId from) {
   if (options().behavior == Behavior::kCollude) {
     collude_endorse(c.view, c.seq, c.request_digest);
   }
-  if (c.seq <= last_executed_) return;
+  if (c.seq <= last_executed()) return;
   Slot& slot = slots_[c.seq];
   slot.commit_votes[c.request_digest][from] = weight_of(from);
   maybe_committed(c.seq);
@@ -368,7 +340,7 @@ void Pbft::collude_endorse(View v, SeqNum seq,
                            const crypto::Digest& digest) {
   FINDEP_ASSERT(options().behavior == Behavior::kCollude);
   if (v != view_ || in_view_change_) return;
-  if (seq <= last_executed_) return;
+  if (seq <= last_executed()) return;
   // Lend full weight to every digest exactly once: prepare and commit
   // with no conflict check, the classic vote-for-everything strategy.
   // The endorse set is pruned with slots_ when checkpoints advance.
@@ -389,39 +361,18 @@ void Pbft::maybe_committed(SeqNum seq) {
   if (!slot.prepared || slot.committed) return;
   const auto votes = slot.commit_votes.find(slot.batch_digest);
   if (votes == slot.commit_votes.end()) return;
-  if (!is_quorum(vote_weight(votes->second))) return;
+  if (!is_quorum(harness_.vote_weight(votes->second))) return;
   slot.committed = true;
-  FINDEP_BFT_TRACE("t=%.3f [%u] committed seq=%llu view=%llu le=%llu\n",
-                   sim().now(), id(), (unsigned long long)seq,
-                   (unsigned long long)view_,
-                   (unsigned long long)last_executed_);
   execute_ready();
 }
 
 void Pbft::execute_ready() {
-  const SeqNum before = last_executed_;
   for (;;) {
-    const auto it = slots_.find(last_executed_ + 1);
+    const auto it = slots_.find(last_executed() + 1);
     if (it == slots_.end() || !it->second.committed) break;
-    Slot& slot = it->second;
-    ++last_executed_;
-    // Unroll the batch into per-request log entries (all at this slot's
-    // seq, in batch order). Dedup holds across batch boundaries: a
-    // request id that already executed — in an earlier batch or earlier
-    // in this one — is skipped, so a Byzantine primary repeating a
-    // request cannot make it execute twice.
-    for (const Request& r : slot.batch.requests) {
-      if (r.id != 0) {
-        if (executed_ids_.contains(r.id)) continue;
-        executed_ids_[r.id] = true;
-        pending_requests_.erase(r.id);
-        commit_times_.emplace_back(r.id, sim().now());
-      }
-      executed_.push_back(ExecutedEntry{last_executed_, r});
-    }
+    tail_.execute(it->first, it->second.batch);
   }
-  (void)before;
-  if (pending_requests_.empty()) {
+  if (tail_.pending().empty()) {
     // Fully drained: drop the timer and the (all-dead) deadline queue.
     disarm_request_timer();
     request_deadlines_.clear();
@@ -433,48 +384,31 @@ void Pbft::execute_ready() {
   // (previously documented as the starvation caveat: the old single
   // timer reset on any progress). Executed ids are popped from the
   // deadline queue lazily, by the timer callback.
-  maybe_checkpoint();
-}
-
-crypto::Digest Pbft::state_digest_with(
-    const std::vector<ExecutedEntry>& extra) const {
-  return state_digest_over(executed_, extra);
-}
-
-void Pbft::maybe_checkpoint() {
-  const SeqNum seq =
-      ckpt_.maybe_emit(last_executed_, options().checkpoint_interval);
-  if (seq == 0) return;
-  broadcast(Checkpoint{seq, state_digest_with({})});
+  tail_.maybe_checkpoint();
 }
 
 void Pbft::on_checkpoint(const Checkpoint& cp, ReplicaId from,
                          const crypto::Signature& signature) {
-  // A signed checkpoint is also a claim about the sender's execution
-  // horizon; record it before any windowing so far-behind replicas can
-  // detect credible progress beyond their vote window (state transfer).
-  fetch_.note_claim(from, cp.seq);
-  if (!ckpt_.on_vote(cp, from, signature, last_executed_,
-                     options().checkpoint_interval)) {
-    return;
-  }
+  if (!tail_.on_checkpoint(cp, from, signature)) return;
   // Prune consensus state at and below the stable checkpoint — but never
   // above our own execution horizon: a replica that lags behind a remote
   // checkpoint keeps its in-flight slots and can still finish them from
   // live traffic while a state transfer is pending.
-  const SeqNum prune_to = std::min(ckpt_.stable(), last_executed_);
-  for (auto it = slots_.begin(); it != slots_.end();) {
-    it = it->first <= prune_to ? slots_.erase(it) : std::next(it);
-  }
-  colluded_.erase(colluded_.begin(), colluded_.upper_bound(prune_to));
-  if (ckpt_.stable() > last_executed_) fetch_.maybe_schedule();
+  prune_slots(std::min(stable_checkpoint(), last_executed()));
   retry_deferred_cut();  // the raised watermark may unblock a deferred cut
+}
+
+void Pbft::prune_slots(SeqNum seq) {
+  for (auto it = slots_.begin(); it != slots_.end();) {
+    it = it->first <= seq ? slots_.erase(it) : std::next(it);
+  }
+  colluded_.erase(colluded_.begin(), colluded_.upper_bound(seq));
 }
 
 // --- timers ----------------------------------------------------------------
 
 void Pbft::track_request_deadline(std::uint64_t request_id) {
-  // Called exactly when `request_id` first enters pending_requests_, so
+  // Called exactly when `request_id` first enters tail_.pending(), so
   // deadlines are arrival-ordered and nondecreasing: the front of the
   // deque is always the earliest live deadline. Retransmissions do not
   // reach here (the caller guards on !contains), so a retried request
@@ -498,7 +432,7 @@ void Pbft::arm_request_timer() {
   // tracked locally): the deadline queue is append-only on arrival, so
   // the front may be stale.
   while (!request_deadlines_.empty() &&
-         !pending_requests_.contains(request_deadlines_.front().second)) {
+         !tail_.pending().contains(request_deadlines_.front().second)) {
     request_deadlines_.pop_front();
   }
   if (request_timer_.has_value() || request_deadlines_.empty()) return;
@@ -512,7 +446,7 @@ void Pbft::arm_request_timer() {
 
 void Pbft::request_timer_fired() {
   while (!request_deadlines_.empty() &&
-         !pending_requests_.contains(request_deadlines_.front().second)) {
+         !tail_.pending().contains(request_deadlines_.front().second)) {
     request_deadlines_.pop_front();
   }
   if (request_deadlines_.empty()) return;
@@ -582,18 +516,14 @@ void Pbft::start_view_change(View target) {
   in_view_change_ = true;
   pending_view_ = target;
   ++view_changes_started_;
-  FINDEP_BFT_TRACE("t=%.3f [%u] start_vc target=%llu le=%llu pending=%zu\n",
-                   sim().now(), id(), (unsigned long long)target,
-                   (unsigned long long)last_executed_,
-                   pending_requests_.size());
   disarm_request_timer();
   disarm_batch_timer();
 
   ViewChange vc;
   vc.new_view = target;
-  vc.last_executed = ckpt_.stable();
+  vc.last_executed = stable_checkpoint();
   for (const auto& [seq, slot] : slots_) {
-    if (slot.prepared && seq > ckpt_.stable()) {
+    if (slot.prepared && seq > stable_checkpoint()) {
       vc.prepared.push_back(
           PreparedEntry{slot.prepared_view, seq, slot.batch});
     }
@@ -606,7 +536,7 @@ void Pbft::on_viewchange(const ViewChange& vc, ReplicaId from,
                          const crypto::Signature& signature) {
   // A view change states the sender's stable checkpoint — a signed claim
   // usable as state-transfer evidence.
-  fetch_.note_claim(from, vc.last_executed);
+  tail_.fetch().note_claim(from, vc.last_executed);
   if (vc.new_view <= view_) return;
   auto& votes = viewchange_votes_[vc.new_view];
   const bool already =
@@ -730,25 +660,25 @@ void Pbft::install_new_view(const NewView& nv) {
   // if a quorum certifies state above our horizon, we missed committed
   // traffic and should fetch rather than wait for the next checkpoint.
   for (const SignedViewChange& s : nv.proofs) {
-    fetch_.note_claim(s.sender, s.vc.last_executed);
+    tail_.fetch().note_claim(s.sender, s.vc.last_executed);
   }
 
   // Reset consensus state for unexecuted sequence numbers: votes from
   // earlier views are void in the new view.
   for (auto& [seq, slot] : slots_) {
-    if (seq > last_executed_) slot = Slot{};
+    if (seq > last_executed()) slot = Slot{};
   }
 
-  SeqNum max_seq = last_executed_;
+  SeqNum max_seq = last_executed();
   for (const PrePrepare& pp : nv.reproposals) {
     max_seq = std::max(max_seq, pp.seq);
-    if (pp.seq <= last_executed_) continue;
+    if (pp.seq <= last_executed()) continue;
     accept_preprepare(pp);
   }
   next_seq_ = max_seq + 1;
   assigned_.clear();
   // The old view's batch queue is void: its requests are still in
-  // pending_requests_ and get re-driven below, through the new primary.
+  // pending() and get re-driven below, through the new primary.
   disarm_batch_timer();
   batch_queue_.clear();
   queued_ids_.clear();
@@ -762,9 +692,9 @@ void Pbft::install_new_view(const NewView& nv) {
   // requests pack into the new primary's batches — and with it every
   // downstream proposal, message and byte count.
   std::vector<const Request*> redrive;
-  redrive.reserve(pending_requests_.size());
+  redrive.reserve(tail_.pending().size());
   // findep-lint: allow(unordered-iteration) -- collect-only walk; sorted by request id below before anything order-sensitive happens
-  for (const auto& [rid, request] : pending_requests_) {
+  for (const auto& [rid, request] : tail_.pending()) {
     redrive.push_back(&request);
   }
   std::sort(redrive.begin(), redrive.end(),
@@ -783,80 +713,15 @@ void Pbft::install_new_view(const NewView& nv) {
   }
   refresh_request_deadlines();
   arm_request_timer();
-  fetch_.maybe_schedule();
+  tail_.fetch().maybe_schedule();
 }
 
 // --- state transfer --------------------------------------------------------
 
-void Pbft::on_state_request(const StateRequest& sr, ReplicaId from) {
-  if (ckpt_.stable() == 0 || ckpt_.proof().empty()) return;
-  if (sr.last_executed >= ckpt_.stable()) return;  // nothing to prove
-  // A replica that adopted a remote stable checkpoint it has not itself
-  // executed up to cannot substantiate the digest — decline instead of
-  // sending a response the requester would provably reject.
-  if (last_executed_ < ckpt_.stable()) return;
-  StateResponse resp;
-  resp.request_from = sr.last_executed;
-  resp.checkpoint = Checkpoint{ckpt_.stable(), ckpt_.digest()};
-  resp.proof = ckpt_.proof();
-  for (const ExecutedEntry& e : executed_) {
-    if (e.seq > sr.last_executed && e.seq <= ckpt_.stable()) {
-      resp.entries.push_back(e);
-    }
-  }
-  resp.new_view = last_new_view_;
-  send_to(from, std::move(resp));
-}
-
-void Pbft::on_state_response(const StateResponse& resp, ReplicaId from) {
-  if (!options().enable_state_transfer) return;
-  if (resp.checkpoint.seq <= last_executed_) return;  // stale/no-op
-
-  const auto reject = [&] {
-    ++state_transfers_rejected_;
-    fetch_.on_rejected(from);
-  };
-
-  // 1. The checkpoint must be proven by a quorum of verifiable votes.
-  if (!verify_checkpoint_proof(harness_, resp.checkpoint, resp.proof)) {
-    return reject();
-  }
-
-  // 2. The entries must splice onto our own log — in range, seq-ordered —
-  //    and reproduce the proven state digest exactly. Entries below our
-  //    horizon are skipped (we may have executed further since asking);
-  //    honest logs are prefix-consistent, so the remainder is precisely
-  //    the suffix our log is missing, and the digest is the arbiter.
-  std::vector<ExecutedEntry> suffix;
-  suffix.reserve(resp.entries.size());
-  SeqNum prev = last_executed_;
-  for (const ExecutedEntry& e : resp.entries) {
-    if (e.seq <= last_executed_) continue;
-    if (e.seq < prev || e.seq > resp.checkpoint.seq) return reject();
-    prev = e.seq;
-    suffix.push_back(e);
-  }
-  if (state_digest_with(suffix) != resp.checkpoint.state_digest) {
-    return reject();
-  }
-
-  // 3. Adopt: replay the suffix, advance the horizon to the checkpoint,
-  //    take over the proof so we can serve transfers ourselves.
-  for (const ExecutedEntry& e : suffix) {
-    if (e.request.id != 0) {
-      executed_ids_[e.request.id] = true;
-      pending_requests_.erase(e.request.id);
-    }
-    executed_.push_back(e);
-  }
-  last_executed_ = resp.checkpoint.seq;
-  ++state_transfers_completed_;
-  ckpt_.maybe_adopt(resp.checkpoint, resp.proof);
-  for (auto it = slots_.begin(); it != slots_.end();) {
-    it = it->first <= last_executed_ ? slots_.erase(it) : std::next(it);
-  }
-  colluded_.erase(colluded_.begin(), colluded_.upper_bound(last_executed_));
-  fetch_.on_adopted();
+void Pbft::on_state_response(const StateResponse& resp, ReplicaId from,
+                             std::uint64_t raw_bytes) {
+  if (!tail_.on_state_response(resp, from, raw_bytes)) return;
+  prune_slots(last_executed());
 
   if (resp.new_view.has_value() && resp.new_view->view > view_ &&
       verify_new_view(*resp.new_view)) {
@@ -885,7 +750,7 @@ void Pbft::on_state_response(const StateResponse& resp, ReplicaId from) {
   }
   // Still behind a credible horizon (e.g. the responder itself lagged)?
   // Go again.
-  fetch_.maybe_schedule();
+  tail_.fetch().maybe_schedule();
   retry_deferred_cut();  // adoption advanced the stable checkpoint
 }
 

@@ -32,9 +32,11 @@
 // > 1/3 of voting power claiming checkpoints it has not executed —
 // fetches the missing log suffix from a random up-to-date peer, verifies
 // the checkpoint digest against the signed vote quorum carried in the
-// response, and resumes normal execution. The vote tracking and the
-// fetch machine live in replication/durability.h, shared with every
-// other protocol.
+// response, and resumes normal execution. The executed log, checkpoint
+// votes and the fetch machine live in the ExecutionTail
+// (replication/tail.h), shared with every other protocol; PBFT keeps
+// only its post-adoption step (slot pruning, NEW-VIEW installation,
+// abandoning a lone view change).
 #pragma once
 
 #include <deque>
@@ -46,7 +48,6 @@
 
 #include "bft/messages.h"
 #include "net/network.h"
-#include "replication/durability.h"
 #include "replication/protocol.h"
 #include "sim/simulator.h"
 
@@ -62,24 +63,11 @@ class Pbft final : public OrderingProtocol {
        crypto::KeyRegistry& registry, crypto::KeyPair keys,
        net::SimNetwork& network, ReplicaOptions options);
 
-  /// Attaches the network handler. Call once before the simulation runs.
-  void start() override;
-
   /// Client entry point: hands a request to this replica (it forwards to
   /// the primary if needed and arms the liveness timer).
   void submit(const Request& request) override;
 
   [[nodiscard]] View view() const noexcept { return view_; }
-  [[nodiscard]] const std::vector<ExecutedEntry>& executed()
-      const noexcept override {
-    return executed_;
-  }
-  [[nodiscard]] SeqNum last_executed() const noexcept override {
-    return last_executed_;
-  }
-  [[nodiscard]] SeqNum stable_checkpoint() const noexcept override {
-    return ckpt_.stable();
-  }
   [[nodiscard]] std::uint64_t view_changes_started() const noexcept {
     return view_changes_started_;
   }
@@ -95,30 +83,6 @@ class Pbft final : public OrderingProtocol {
   /// each deferral event counts, including repeats for the same batch).
   [[nodiscard]] std::uint64_t proposals_deferred() const noexcept override {
     return proposals_deferred_;
-  }
-  [[nodiscard]] const crypto::Digest& stable_checkpoint_digest()
-      const noexcept override {
-    return ckpt_.digest();
-  }
-  [[nodiscard]] std::uint64_t state_transfers_completed()
-      const noexcept override {
-    return state_transfers_completed_;
-  }
-  [[nodiscard]] std::uint64_t state_transfers_rejected()
-      const noexcept override {
-    return state_transfers_rejected_;
-  }
-  [[nodiscard]] std::uint64_t state_transfer_requests()
-      const noexcept override {
-    return fetch_.requests_sent();
-  }
-  [[nodiscard]] std::uint64_t state_transfer_bytes()
-      const noexcept override {
-    return state_transfer_bytes_;
-  }
-  [[nodiscard]] const std::vector<std::pair<std::uint64_t, double>>&
-  commit_times() const noexcept override {
-    return commit_times_;
   }
 
   [[nodiscard]] ReplicaId primary_of(View v) const noexcept {
@@ -168,8 +132,8 @@ class Pbft final : public OrderingProtocol {
   void on_viewchange(const ViewChange& vc, ReplicaId from,
                      const crypto::Signature& signature);
   void on_newview(const NewView& nv, ReplicaId from);
-  void on_state_request(const StateRequest& sr, ReplicaId from);
-  void on_state_response(const StateResponse& resp, ReplicaId from);
+  void on_state_response(const StateResponse& resp, ReplicaId from,
+                         std::uint64_t raw_bytes);
 
   // --- normal case ------------------------------------------------------
   void enqueue_for_proposal(const Request& request);
@@ -182,7 +146,9 @@ class Pbft final : public OrderingProtocol {
   void maybe_prepared(SeqNum seq);
   void maybe_committed(SeqNum seq);
   void execute_ready();
-  void maybe_checkpoint();
+  /// Drops consensus state (slots, collude endorsements) at and below
+  /// `seq`.
+  void prune_slots(SeqNum seq);
 
   // --- view change ------------------------------------------------------
   void replay_future_messages();
@@ -196,36 +162,7 @@ class Pbft final : public OrderingProtocol {
   [[nodiscard]] bool verify_new_view(const NewView& nv) const;
   void install_new_view(const NewView& nv);
 
-  // --- state transfer ---------------------------------------------------
-  /// State digest of this log extended by `extra` (what maybe_checkpoint
-  /// hashes, and what a state response's entries must reproduce).
-  [[nodiscard]] crypto::Digest state_digest_with(
-      const std::vector<ExecutedEntry>& extra) const;
-
   // --- helpers ----------------------------------------------------------
-  [[nodiscard]] const ReplicaOptions& options() const noexcept {
-    return harness_.options();
-  }
-  [[nodiscard]] sim::Simulator& sim() const noexcept {
-    return harness_.simulator();
-  }
-  void broadcast(Payload payload) { harness_.broadcast(std::move(payload)); }
-  void send_to(net::NodeId to, Payload payload) {
-    harness_.send_to(to, std::move(payload));
-  }
-  [[nodiscard]] double weight_of(ReplicaId r) const {
-    return harness_.weight_of(r);
-  }
-  [[nodiscard]] double vote_weight(
-      const std::map<ReplicaId, double>& votes) const {
-    return harness_.vote_weight(votes);
-  }
-  [[nodiscard]] bool is_quorum(double weight) const noexcept {
-    return harness_.is_quorum(weight);
-  }
-  [[nodiscard]] bool is_third(double weight) const noexcept {
-    return harness_.is_third(weight);
-  }
   /// Registers a liveness deadline for a request id that just became
   /// pending (no-op if one is already tracked — retransmissions must not
   /// push a starved request's deadline back).
@@ -249,16 +186,7 @@ class Pbft final : public OrderingProtocol {
   View pending_view_ = 0;
   SeqNum next_seq_ = 1;  // primary's allocator
   std::map<SeqNum, Slot> slots_;
-  SeqNum last_executed_ = 0;
-  std::vector<ExecutedEntry> executed_;
-  std::unordered_map<std::uint64_t, Request> pending_requests_;
   std::unordered_map<std::uint64_t, SeqNum> assigned_;  // primary only
-  std::unordered_map<std::uint64_t, bool> executed_ids_;
-  /// (request id, simulated commit time) per request executed here —
-  /// feeds the commit-latency percentiles in the protocol-comparison
-  /// scenarios. Recording is observationally pure: no messages, timers
-  /// or branches depend on it, so legacy runs stay bit-identical.
-  std::vector<std::pair<std::uint64_t, double>> commit_times_;
 
   /// Primary-side batching: requests accepted but not yet proposed, in
   /// arrival order, plus their ids for O(1) duplicate suppression.
@@ -268,14 +196,6 @@ class Pbft final : public OrderingProtocol {
   /// (high-watermark back-pressure).
   bool cut_deferred_ = false;
   std::uint64_t proposals_deferred_ = 0;
-
-  /// Shared durability layer: checkpoint votes/proofs and the
-  /// claims-driven state-transfer fetch machine.
-  CheckpointStore ckpt_;
-  StateFetchMachine fetch_;
-  std::uint64_t state_transfers_completed_ = 0;
-  std::uint64_t state_transfers_rejected_ = 0;
-  std::uint64_t state_transfer_bytes_ = 0;
 
   std::map<View, std::vector<SignedViewChange>> viewchange_votes_;
   View newview_assembled_for_ = 0;

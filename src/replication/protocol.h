@@ -6,16 +6,21 @@
 // shed from the verify queue?), verify_extra_cost (quorum proofs riding
 // the envelope, batch-verified) — plus submit() for client ingress, and
 // drives everything else through the harness' broadcast()/send_to() and
-// simulator timers. The observable surface below is what the cluster
-// harness, scenario metrics and campaign outcome classifier read, so a
-// new protocol plugs into every existing experiment by implementing it.
+// simulator timers. Below the ordering logic sits the ExecutionTail
+// (replication/tail.h) every protocol shares: the executed log,
+// checkpoints and state transfer, so the log/transfer observables are
+// plain accessors here. The observable surface below is what the
+// cluster harness, scenario metrics and campaign outcome classifier
+// read, so a new protocol plugs into every existing experiment by
+// implementing the few that stay virtual.
 //
 // To add a third protocol (e.g. an attestation-backed MinBFT using
-// src/attest/ trusted counters): derive from OrderingProtocol, reuse
-// CheckpointStore/StateFetchMachine from replication/durability.h for
-// the durable tail, add its wire messages to bft::Payload, and register
-// the axis value in parse_protocol + the cluster factory. Nothing in the
-// harness or the scenario plumbing changes.
+// src/attest/ trusted counters): derive from OrderingProtocol, hand each
+// committed batch to tail_.execute() and route Checkpoint/StateRequest/
+// StateResponse payloads to the tail, add its wire messages to
+// bft::Payload, and register the axis value in parse_protocol + the
+// cluster factory. Nothing in the harness, the tail or the scenario
+// plumbing changes.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +30,7 @@
 #include "bft/messages.h"
 #include "net/network.h"
 #include "replication/harness.h"
+#include "replication/tail.h"
 #include "runtime/workers.h"
 
 namespace findep::replication {
@@ -59,7 +65,7 @@ class OrderingProtocol {
   OrderingProtocol& operator=(const OrderingProtocol&) = delete;
 
   /// Attaches the network handler. Call once before the simulation runs.
-  virtual void start() = 0;
+  void start() { harness_.start(); }
   /// Client entry point: hands a request to this replica.
   virtual void submit(const Request& request) = 0;
 
@@ -86,14 +92,21 @@ class OrderingProtocol {
   }
 
   // --- protocol-neutral observables ------------------------------------
-  [[nodiscard]] virtual const std::vector<ExecutedEntry>& executed()
-      const = 0;
-  [[nodiscard]] virtual SeqNum last_executed() const = 0;
-  [[nodiscard]] virtual SeqNum stable_checkpoint() const = 0;
+  [[nodiscard]] const std::vector<ExecutedEntry>& executed() const noexcept {
+    return tail_.executed();
+  }
+  [[nodiscard]] SeqNum last_executed() const noexcept {
+    return tail_.last_executed();
+  }
+  [[nodiscard]] SeqNum stable_checkpoint() const noexcept {
+    return tail_.checkpoints().stable();
+  }
   /// State digest of this replica's stable checkpoint (meaningful only
   /// when stable_checkpoint() > 0).
-  [[nodiscard]] virtual const crypto::Digest& stable_checkpoint_digest()
-      const = 0;
+  [[nodiscard]] const crypto::Digest& stable_checkpoint_digest()
+      const noexcept {
+    return tail_.checkpoints().digest();
+  }
   /// Ordering-progress disruptions the protocol recorded: PBFT view
   /// changes started, HotStuff pacemaker timeouts fired. The campaign
   /// outcome classifier counts these as detection evidence.
@@ -107,21 +120,31 @@ class OrderingProtocol {
     return 0;
   }
   /// Completed (verified + adopted) state transfers.
-  [[nodiscard]] virtual std::uint64_t state_transfers_completed() const = 0;
+  [[nodiscard]] std::uint64_t state_transfers_completed() const noexcept {
+    return tail_.transfers_completed();
+  }
   /// State responses rejected for a bad proof, bad entries or a state
   /// digest mismatch (each followed by a retry at another peer).
-  [[nodiscard]] virtual std::uint64_t state_transfers_rejected() const = 0;
+  [[nodiscard]] std::uint64_t state_transfers_rejected() const noexcept {
+    return tail_.transfers_rejected();
+  }
   /// StateRequest messages sent (first attempts and retries).
-  [[nodiscard]] virtual std::uint64_t state_transfer_requests() const = 0;
+  [[nodiscard]] std::uint64_t state_transfer_requests() const noexcept {
+    return tail_.transfer_requests();
+  }
   /// Wire bytes of every StateResponse received (adopted or rejected).
-  [[nodiscard]] virtual std::uint64_t state_transfer_bytes() const = 0;
+  [[nodiscard]] std::uint64_t state_transfer_bytes() const noexcept {
+    return tail_.transfer_bytes();
+  }
   /// (request id, simulated time) pairs recorded when a request first
   /// executes on this replica, in execution order. The protocol-
   /// comparison scenarios join them against client submit times to
   /// derive commit-latency percentiles. State-transfer splices are NOT
   /// recorded (the adopting replica did not witness the commit).
-  [[nodiscard]] virtual const std::vector<std::pair<std::uint64_t, double>>&
-  commit_times() const = 0;
+  [[nodiscard]] const std::vector<std::pair<std::uint64_t, double>>&
+  commit_times() const noexcept {
+    return tail_.commit_times();
+  }
 
   // --- harness-backed observables --------------------------------------
   [[nodiscard]] ReplicaId id() const noexcept { return harness_.id(); }
@@ -152,9 +175,32 @@ class OrderingProtocol {
                    Protocol kind)
       : harness_(*this, id, std::move(weights), std::move(directory),
                  registry, std::move(keys), network, std::move(options),
-                 kind) {}
+                 kind),
+        tail_(harness_) {}
+
+  // --- harness forwarders for the protocol code ------------------------
+  [[nodiscard]] const ReplicaOptions& options() const noexcept {
+    return harness_.options();
+  }
+  [[nodiscard]] sim::Simulator& sim() const noexcept {
+    return harness_.simulator();
+  }
+  void broadcast(Payload payload) { harness_.broadcast(std::move(payload)); }
+  void send_to(net::NodeId to, Payload payload) {
+    harness_.send_to(to, std::move(payload));
+  }
+  [[nodiscard]] double weight_of(ReplicaId r) const {
+    return harness_.weight_of(r);
+  }
+  [[nodiscard]] bool is_quorum(double weight) const noexcept {
+    return harness_.is_quorum(weight);
+  }
+  [[nodiscard]] bool is_third(double weight) const noexcept {
+    return harness_.is_third(weight);
+  }
 
   NodeHarness harness_;
+  ExecutionTail tail_;
 };
 
 }  // namespace findep::replication

@@ -6,8 +6,8 @@
 // `Scenario` instance. Families register themselves process-wide at
 // static-initialization time (`ScenarioRegistration` in the family's
 // translation unit), so every binary linking the scenario library — the
-// unified `findep-bench` CLI, the thin per-bench drivers, the tests —
-// sees the same catalog.
+// unified `findep-bench` CLI, `bench/campaign`, the tests — sees the same
+// catalog.
 //
 // `run_families_main()` is the shared driver main on top of it: select
 // families (`--family`, or the binary's built-in subset), override grid
@@ -76,11 +76,11 @@ struct ScenarioRegistration {
 [[nodiscard]] std::vector<std::unique_ptr<Scenario>> instantiate_family(
     const ScenarioFamily& family, const std::vector<ParamGrid>& grids);
 
-/// The shared registry-driven main for `findep-bench` and the thin
-/// per-bench binaries. `default_families` restricts the binary to a
-/// subset of the registry (empty = every registered family); `overrides`
-/// are baked-in `--set`-style axis overrides applied before the command
-/// line's (used by example drivers that re-aim a family's grid).
+/// The shared registry-driven main for `findep-bench` and
+/// `bench/campaign`. `default_families` restricts the binary to a subset
+/// of the registry (empty = every registered family); `overrides` are
+/// baked-in `--set`-style axis overrides applied before the command
+/// line's (campaign's spec file lowers to them).
 /// Understands every suite flag plus `--family` and `--set`.
 int run_families_main(
     int argc, const char* const* argv,

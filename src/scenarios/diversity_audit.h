@@ -1,7 +1,7 @@
 // The quickstart scenario: sample a replica population with
 // market-share-like popularity skew and report the paper's headline
 // diversity quantities (§IV-A). Doubles as the smallest example of
-// writing a scenario family — see examples/quickstart.cpp for the tour.
+// writing a scenario family (`findep-bench --family diversity_audit`).
 #pragma once
 
 #include <cstddef>

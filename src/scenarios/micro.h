@@ -1,9 +1,7 @@
 // Microbenchmark family: wall-clock timings of the hot primitives
 // (SHA-256, Merkle trees, entropy metrics, analyzer runs) through the
 // standard scenario interface, so `findep-bench` can sweep them next to
-// the experiments. The google-benchmark driver (`bench/micro_core.cpp`)
-// remains the precision instrument; this family is the always-available
-// smoke-level view.
+// the experiments; the perf gate pins its rows (ci/micro_baseline.csv).
 //
 // NOTE: timings are *measured*, not derived from the seed — this family
 // is registered with `deterministic = false` and is exempt from the

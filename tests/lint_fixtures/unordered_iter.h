@@ -1,6 +1,6 @@
 // Fixture: header declaring unordered members — unordered_iter.cpp
 // includes this, so iteration there must resolve these names through the
-// include closure (the replica.h/replica.cpp split in the real tree).
+// include closure (the pbft.h/pbft.cpp split in the real tree).
 #pragma once
 
 #include <cstdint>

@@ -20,7 +20,7 @@ ClusterOptions fast_options(std::uint64_t seed = 1) {
 }
 
 /// Real (non-noop) executions of one replica.
-std::size_t real_executed(const Replica& replica) {
+std::size_t real_executed(const replication::Pbft& replica) {
   std::size_t count = 0;
   for (const ExecutedEntry& e : replica.executed()) {
     if (e.request.id != 0) ++count;
@@ -359,7 +359,7 @@ TEST(BftAdversarial, ColludingCoalitionBelowThirdStaysSafe) {
   // Same attack, coalition at exactly 1/4 < 1/3: endorsing both digests
   // cannot complete a *conflicting certificate pair* (the two quorums
   // would have to share honest weight — the c > W/3 derivation in
-  // replica.h). One half may still commit — with the colluder's weight a
+  // pbft.h). One half may still commit — with the colluder's weight a
   // single digest can reach quorum, forged requests and all, stranding
   // the other half's replica behind a conflicting prepared certificate —
   // but that is a liveness wound, not a safety one: every client request

@@ -89,7 +89,7 @@ TEST(LintAmbientRng, FlagsGlobalRngAndDefaultEnginesOnly) {
 TEST(LintUnorderedIteration, ResolvesNamesThroughIncludesAndAliases) {
   // The header declares the members (one directly unordered, one through
   // a using-alias); the .cpp iterates them — the same split as
-  // replica.h/replica.cpp in the real tree.
+  // pbft.h/pbft.cpp in the real tree.
   const auto findings = run_lint(
       {fixture("unordered_iter.h"), fixture("unordered_iter.cpp")},
       fixture_options());
