@@ -8,8 +8,9 @@
 #   kind=time   rows (micro ns_per_op): FAIL when the measured mean
 #               exceeds baseline x tolerance (default 1.5x — shared
 #               runners are noisy, so time baselines carry headroom).
-#   kind=count  rows (bft_batching messages-per-request counters, the
-#               protocol-comparison lane's message counts and
+#   kind=count  rows (the micro hash_work ops' SHA-256 blocks per
+#               committed request, bft_batching messages-per-request
+#               counters, the protocol-comparison lane's message counts and
 #               commit-latency percentiles for pbft and hotstuff both,
 #               bft_churn committed_requests / stranded_replicas, and the
 #               campaign outcome classification): FAIL on anything but
@@ -119,6 +120,12 @@ if need "micro/"; then
   "$bench" --family micro --seeds 3 --csv --out "$tmp/micro.csv" > /dev/null
   awk -F, 'FNR > 1 && $4 == "ns_per_op" {print $2 "," $4 "," $5}' \
     "$tmp/micro.csv" > "$tmp/current_time.csv"
+  # The hash_work ops also count SHA-256 blocks per committed request:
+  # deterministic work, pinned exactly, so a re-hashing regression fails
+  # here even when the timers cannot see it.
+  awk -F, 'FNR > 1 && $4 == "sha256_blocks_per_commit" \
+           {print $2 "," $4 "," $5}' "$tmp/micro.csv" \
+    >> "$tmp/current_count.csv"
 fi
 if need "bft_scaling/" ",msgs"; then
   "$bench" --family bft_batching --seeds 2 --csv --out "$tmp/batching.csv" \

@@ -106,7 +106,7 @@ std::uint64_t BftCluster::submit() {
 
   // The client is not attached, so a network broadcast reaches exactly
   // the replicas — with one shared body instead of n payload copies.
-  const net::Envelope wire(make_envelope(client_id_, *client_keys_, request));
+  const net::Envelope wire(Envelope(client_id_, *client_keys_, request));
   network_->broadcast(client_id_, wire, payload_wire_bytes(Payload{request}));
   return rid;
 }

@@ -1,6 +1,7 @@
 #include "bft/messages.h"
 
 #include <type_traits>
+#include <utility>
 
 namespace findep::bft {
 
@@ -59,18 +60,22 @@ crypto::Digest Checkpoint::digest() const {
       .finish();
 }
 
-crypto::Digest ViewChange::digest() const {
+ViewChange::ViewChange(View new_view, SeqNum last_executed,
+                       std::vector<PreparedEntry> prepared)
+    : new_view_(new_view),
+      last_executed_(last_executed),
+      prepared_(std::move(prepared)) {
   crypto::Sha256 h;
   h.update("findep/bft/viewchange/v1");
-  h.update_u64(new_view);
-  h.update_u64(last_executed);
-  h.update_u64(prepared.size());
-  for (const PreparedEntry& e : prepared) {
+  h.update_u64(new_view_);
+  h.update_u64(last_executed_);
+  h.update_u64(prepared_.size());
+  for (const PreparedEntry& e : prepared_) {
     h.update_u64(e.view);
     h.update_u64(e.seq);
     h.update(e.batch.digest().bytes);
   }
-  return h.finish();
+  digest_ = h.finish();
 }
 
 crypto::Digest NewView::digest() const {
@@ -214,7 +219,7 @@ std::uint64_t batch_body_bytes(const Batch& batch) {
 
 std::uint64_t viewchange_wire_bytes(const ViewChange& vc) {
   std::uint64_t bytes = kViewChangeBytes;
-  for (const PreparedEntry& e : vc.prepared) {
+  for (const PreparedEntry& e : vc.prepared()) {
     bytes += kPreparedEntryBytes + batch_body_bytes(e.batch);
   }
   return bytes;
@@ -299,21 +304,18 @@ std::uint64_t payload_wire_bytes(const Payload& payload) {
       payload);
 }
 
-Envelope make_envelope(ReplicaId sender, const crypto::KeyPair& keys,
-                       Payload payload) {
-  Envelope env;
-  env.sender = sender;
-  env.sender_key = keys.public_key();
-  env.signature = keys.sign(payload_digest(payload));
-  env.payload = std::move(payload);
-  return env;
-}
+Envelope::Envelope(ReplicaId sender, const crypto::KeyPair& keys,
+                   Payload payload)
+    : sender_(sender),
+      sender_key_(keys.public_key()),
+      payload_(std::move(payload)),
+      digest_(payload_digest(payload_)),
+      signature_(keys.sign(digest_)) {}
 
 bool verify_envelope(const crypto::KeyRegistry& registry,
                      const Envelope& envelope) {
-  return registry.verify(envelope.sender_key,
-                         payload_digest(envelope.payload),
-                         envelope.signature);
+  return registry.verify(envelope.sender_key(), envelope.digest(),
+                         envelope.signature());
 }
 
 }  // namespace findep::bft

@@ -109,12 +109,32 @@ struct PreparedEntry {
   Batch batch;
 };
 
-struct ViewChange {
-  View new_view = 0;
-  SeqNum last_executed = 0;
-  std::vector<PreparedEntry> prepared;
+/// A replica's vote to leave for `new_view`: its stable checkpoint and
+/// every batch it prepared above it. Immutable, so the digest — which
+/// folds in every prepared batch — is computed once, at construction,
+/// and every NEW-VIEW that embeds this view change as a proof reuses it
+/// instead of re-hashing the batches at each recipient.
+class ViewChange {
+ public:
+  ViewChange(View new_view, SeqNum last_executed,
+             std::vector<PreparedEntry> prepared);
 
-  [[nodiscard]] crypto::Digest digest() const;
+  [[nodiscard]] View new_view() const noexcept { return new_view_; }
+  [[nodiscard]] SeqNum last_executed() const noexcept {
+    return last_executed_;
+  }
+  [[nodiscard]] const std::vector<PreparedEntry>& prepared() const noexcept {
+    return prepared_;
+  }
+  [[nodiscard]] const crypto::Digest& digest() const noexcept {
+    return digest_;
+  }
+
+ private:
+  View new_view_ = 0;
+  SeqNum last_executed_ = 0;
+  std::vector<PreparedEntry> prepared_;
+  crypto::Digest digest_;
 };
 
 /// A view-change message together with its sender's signature, embeddable
@@ -277,11 +297,36 @@ using Payload = std::variant<Request, PrePrepare, Prepare, Commit,
                              HsBlockRequest, HsBlockResponse, HsQcNotice>;
 
 /// Envelope: sender identity + signature over the payload digest.
-struct Envelope {
-  ReplicaId sender = 0;
-  crypto::PublicKey sender_key;
-  Payload payload;
-  crypto::Signature signature;
+///
+/// Immutable: construction computes the payload digest once and signs
+/// it, and verify_envelope checks the signature against that digest, so
+/// the recipients of a shared broadcast body do not each re-hash the
+/// payload. Nothing can set the digest apart from the payload, so the
+/// signature stays bound to the payload delivered.
+class Envelope {
+ public:
+  /// Signs `payload` as `sender`.
+  Envelope(ReplicaId sender, const crypto::KeyPair& keys, Payload payload);
+
+  [[nodiscard]] ReplicaId sender() const noexcept { return sender_; }
+  [[nodiscard]] const crypto::PublicKey& sender_key() const noexcept {
+    return sender_key_;
+  }
+  [[nodiscard]] const Payload& payload() const noexcept { return payload_; }
+  /// payload_digest(payload()), computed at construction.
+  [[nodiscard]] const crypto::Digest& digest() const noexcept {
+    return digest_;
+  }
+  [[nodiscard]] const crypto::Signature& signature() const noexcept {
+    return signature_;
+  }
+
+ private:
+  ReplicaId sender_ = 0;
+  crypto::PublicKey sender_key_;
+  Payload payload_;
+  crypto::Digest digest_;
+  crypto::Signature signature_;
 };
 
 /// Digest of any payload alternative (dispatches on the variant).
@@ -296,12 +341,7 @@ struct Envelope {
 /// unbatched protocol charged, keeping batch_size=1 accounting identical.
 [[nodiscard]] std::uint64_t payload_wire_bytes(const Payload& payload);
 
-/// Signs a payload as `sender`.
-[[nodiscard]] Envelope make_envelope(ReplicaId sender,
-                                     const crypto::KeyPair& keys,
-                                     Payload payload);
-
-/// Verifies the envelope signature.
+/// Verifies the envelope signature over its payload digest.
 [[nodiscard]] bool verify_envelope(const crypto::KeyRegistry& registry,
                                    const Envelope& envelope);
 

@@ -1,11 +1,11 @@
 #include "crypto/hmac.h"
 
+#include <algorithm>
 #include <array>
 
 namespace findep::crypto {
 
-Digest hmac_sha256(std::span<const std::uint8_t> key,
-                   std::span<const std::uint8_t> message) {
+HmacKey::HmacKey(std::span<const std::uint8_t> key) noexcept {
   constexpr std::size_t kBlock = 64;
   std::array<std::uint8_t, kBlock> padded{};
   if (key.size() > kBlock) {
@@ -21,18 +21,31 @@ Digest hmac_sha256(std::span<const std::uint8_t> key,
     inner_pad[i] = static_cast<std::uint8_t>(padded[i] ^ 0x36);
     outer_pad[i] = static_cast<std::uint8_t>(padded[i] ^ 0x5c);
   }
+  inner_.update(inner_pad);
+  outer_.update(outer_pad);
+}
 
-  const Digest inner =
-      Sha256{}.update(inner_pad).update(message).finish();
-  return Sha256{}.update(outer_pad).update(inner.bytes).finish();
+Digest HmacKey::mac(std::span<const std::uint8_t> message) const {
+  Sha256 inner = inner_;
+  const Digest inner_digest = inner.update(message).finish();
+  Sha256 outer = outer_;
+  return outer.update(inner_digest.bytes).finish();
+}
+
+Digest HmacKey::mac(std::string_view message) const {
+  return mac(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(message.data()),
+      message.size()));
+}
+
+Digest hmac_sha256(std::span<const std::uint8_t> key,
+                   std::span<const std::uint8_t> message) {
+  return HmacKey(key).mac(message);
 }
 
 Digest hmac_sha256(std::span<const std::uint8_t> key,
                    std::string_view message) {
-  return hmac_sha256(
-      key, std::span<const std::uint8_t>(
-               reinterpret_cast<const std::uint8_t*>(message.data()),
-               message.size()));
+  return HmacKey(key).mac(message);
 }
 
 }  // namespace findep::crypto

@@ -14,14 +14,18 @@ PublicKey public_from_secret(const Digest& secret) {
       Sha256{}.update(kPublicKeyDomain).update(secret.bytes).finish()};
 }
 
-Signature sign_with(const Digest& secret,
-                    std::span<const std::uint8_t> message) {
+/// The HMAC schedule a secret signs and verifies under, built once per
+/// key pair (the registry enrolls a copy).
+HmacKey signing_schedule(const Digest& secret) {
   // Domain-separate signing from other HMAC uses of the same secret.
   const Digest keyed =
       Sha256{}.update(kSignatureDomain).update(secret.bytes).finish();
-  return Signature{hmac_sha256(keyed.bytes, message)};
+  return HmacKey(keyed.bytes);
 }
 }  // namespace
+
+KeyPair::KeyPair(Digest secret, PublicKey pub)
+    : secret_(secret), pub_(pub), schedule_(signing_schedule(secret)) {}
 
 KeyPair KeyPair::generate(support::Rng& rng) {
   Digest secret;
@@ -41,7 +45,7 @@ KeyPair KeyPair::derive(std::uint64_t seed) {
 }
 
 Signature KeyPair::sign(std::span<const std::uint8_t> message) const {
-  return sign_with(secret_, message);
+  return Signature{schedule_.mac(message)};
 }
 
 Signature KeyPair::sign(std::string_view message) const {
@@ -55,9 +59,11 @@ Signature KeyPair::sign(const Digest& message) const {
 }
 
 bool KeyRegistry::enroll(const KeyPair& keys) {
-  const auto [it, inserted] =
-      keys_.emplace(keys.public_key().id, keys.secret_for_oracle());
-  return inserted || it->second == keys.secret_for_oracle();
+  const Digest& secret = keys.secret_for_oracle();
+  const auto it = keys_.find(keys.public_key().id);
+  if (it != keys_.end()) return it->second.secret == secret;
+  keys_.emplace(keys.public_key().id, Entry{secret, keys.schedule_});
+  return true;
 }
 
 bool KeyRegistry::is_enrolled(const PublicKey& pub) const {
@@ -67,15 +73,15 @@ bool KeyRegistry::is_enrolled(const PublicKey& pub) const {
 std::optional<Digest> KeyRegistry::secret_of(const PublicKey& pub) const {
   const auto it = keys_.find(pub.id);
   if (it == keys_.end()) return std::nullopt;
-  return it->second;
+  return it->second.secret;
 }
 
 bool KeyRegistry::verify(const PublicKey& pub,
                          std::span<const std::uint8_t> message,
                          const Signature& sig) const {
-  const auto secret = secret_of(pub);
-  if (!secret.has_value()) return false;
-  return sign_with(*secret, message) == sig;
+  const auto it = keys_.find(pub.id);
+  if (it == keys_.end()) return false;
+  return it->second.schedule.mac(message) == sig.tag;
 }
 
 bool KeyRegistry::verify(const PublicKey& pub, std::string_view message,

@@ -67,10 +67,14 @@ class KeyPair {
   }
 
  private:
-  KeyPair(Digest secret, PublicKey pub) : secret_(secret), pub_(pub) {}
+  KeyPair(Digest secret, PublicKey pub);
+
+  friend class KeyRegistry;  // enrolls a copy of schedule_
 
   Digest secret_;
   PublicKey pub_;
+  /// The HMAC schedule this key signs under, built once.
+  HmacKey schedule_;
 };
 
 /// The verification oracle standing in for public-key mathematics. Every
@@ -104,9 +108,14 @@ class KeyRegistry {
   }
 
  private:
+  struct Entry {
+    Digest secret;
+    HmacKey schedule;  // copied from the KeyPair at enrollment
+  };
+
   [[nodiscard]] std::optional<Digest> secret_of(const PublicKey& pub) const;
 
-  std::unordered_map<Digest, Digest> keys_;  // pub id -> secret
+  std::unordered_map<Digest, Entry> keys_;  // pub id -> key material
 };
 
 }  // namespace findep::crypto

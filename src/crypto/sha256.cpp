@@ -1,5 +1,6 @@
 #include "crypto/sha256.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -46,7 +47,12 @@ constexpr int hex_value(char c) noexcept {
   return -1;
 }
 
+/// Compression-function calls on this thread (sha256_blocks()).
+thread_local std::uint64_t t_blocks = 0;
+
 }  // namespace
+
+std::uint64_t sha256_blocks() noexcept { return t_blocks; }
 
 std::string Digest::to_hex() const {
   static constexpr char kHex[] = "0123456789abcdef";
@@ -82,6 +88,7 @@ std::uint64_t Digest::prefix64() const noexcept {
 Sha256::Sha256() noexcept : state_(kInitialState) {}
 
 void Sha256::process_block(const std::uint8_t* block) noexcept {
+  ++t_blocks;
   std::array<std::uint32_t, 64> w;
   for (std::size_t i = 0; i < 16; ++i) {
     w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
@@ -168,20 +175,22 @@ Digest Sha256::finish() {
   FINDEP_REQUIRE_MSG(!finished_, "Sha256 context reused after finish()");
   finished_ = true;
 
+  // Padding, written straight into the block buffer: 0x80, zeros up to
+  // byte 56 of a block, then the 64-bit big-endian bit length. A tail
+  // with no room left for the length spills into one more block.
   const std::uint64_t bit_length = total_bytes_ * 8;
-  // Padding: 0x80, zeros, then the 64-bit big-endian bit length.
-  const std::uint8_t one = 0x80;
-  update(std::span<const std::uint8_t>(&one, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffered_ != 56) {
-    update(std::span<const std::uint8_t>(&zero, 1));
+  buffer_[buffered_++] = 0x80;
+  if (buffered_ > 56) {
+    std::memset(buffer_.data() + buffered_, 0, buffer_.size() - buffered_);
+    process_block(buffer_.data());
+    buffered_ = 0;
   }
-  std::array<std::uint8_t, 8> be;
+  std::memset(buffer_.data() + buffered_, 0, 56 - buffered_);
   for (std::size_t i = 0; i < 8; ++i) {
-    be[i] = static_cast<std::uint8_t>(bit_length >> (56 - 8 * i));
+    buffer_[56 + i] = static_cast<std::uint8_t>(bit_length >> (56 - 8 * i));
   }
-  update(be);
-  FINDEP_ASSERT(buffered_ == 0);
+  process_block(buffer_.data());
+  buffered_ = 0;
 
   Digest out;
   for (std::size_t i = 0; i < 8; ++i) {

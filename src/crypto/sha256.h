@@ -34,7 +34,9 @@ struct Digest {
   [[nodiscard]] std::uint64_t prefix64() const noexcept;
 };
 
-/// Incremental SHA-256 context.
+/// Incremental SHA-256 context. Copyable: a copy continues from the same
+/// absorbed prefix, which is how HmacKey reuses its key schedule and a
+/// running digest finishes without consuming itself.
 class Sha256 {
  public:
   Sha256() noexcept;
@@ -58,6 +60,12 @@ class Sha256 {
   std::uint64_t total_bytes_ = 0;
   bool finished_ = false;
 };
+
+/// SHA-256 compression-function calls made on the calling thread since
+/// it started. A deterministic *work* counter: the difference across a
+/// single-threaded run says how many 64-byte blocks it hashed, which
+/// timers on a shared machine cannot.
+[[nodiscard]] std::uint64_t sha256_blocks() noexcept;
 
 /// One-shot helpers.
 [[nodiscard]] Digest sha256(std::span<const std::uint8_t> data) noexcept;

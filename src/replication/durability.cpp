@@ -195,20 +195,4 @@ bool verify_checkpoint_proof(const NodeHarness& harness,
   return harness.is_quorum(weight);
 }
 
-crypto::Digest state_digest_over(
-    const std::vector<bft::ExecutedEntry>& log,
-    const std::vector<bft::ExecutedEntry>& extra) {
-  crypto::Sha256 h;
-  h.update("findep/bft/state/v1");
-  for (const bft::ExecutedEntry& e : log) {
-    h.update_u64(e.seq);
-    h.update(e.request.digest().bytes);
-  }
-  for (const bft::ExecutedEntry& e : extra) {
-    h.update_u64(e.seq);
-    h.update(e.request.digest().bytes);
-  }
-  return h.finish();
-}
-
 }  // namespace findep::replication

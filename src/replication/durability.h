@@ -151,10 +151,4 @@ class StateFetchMachine {
     const NodeHarness& harness, const bft::Checkpoint& checkpoint,
     const std::vector<bft::SignedCheckpoint>& proof);
 
-/// State digest of `log` extended by `extra` (what checkpoint emission
-/// hashes, and what a state response's entries must reproduce).
-[[nodiscard]] crypto::Digest state_digest_over(
-    const std::vector<bft::ExecutedEntry>& log,
-    const std::vector<bft::ExecutedEntry>& extra);
-
 }  // namespace findep::replication

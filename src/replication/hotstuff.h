@@ -156,7 +156,8 @@ class HotStuff final : public OrderingProtocol {
   void try_commit();
   /// SafeNode: may this replica vote for `b`?
   [[nodiscard]] bool safe_to_vote(const HsBlock& b) const;
-  void store_block(const HsBlock& b);
+  /// Stores `b` under its (caller-computed) digest.
+  void store_block(const crypto::Digest& digest, const HsBlock& b);
   /// Executes the committed chain up through `block` (ascending height),
   /// deduplicating request ids exactly like the PBFT batch unroll.
   void commit_chain(const HsBlock& block);

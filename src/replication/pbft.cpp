@@ -48,7 +48,7 @@ runtime::WorkerPool::StaleCheck Pbft::verify_stale_check(
                       std::is_same_v<T, Commit>) {
           return [this, v = m.view] { return v < view_; };
         } else if constexpr (std::is_same_v<T, ViewChange>) {
-          return [this, v = m.new_view] { return v <= view_; };
+          return [this, v = m.new_view()] { return v <= view_; };
         } else if constexpr (std::is_same_v<T, NewView>) {
           return [this, v = m.view] { return v <= view_; };
         } else {
@@ -60,7 +60,7 @@ runtime::WorkerPool::StaleCheck Pbft::verify_stale_check(
 
 void Pbft::dispatch_payload(const Envelope& env, net::NodeId raw_from,
                             std::uint64_t raw_bytes) {
-  const bool from_replica = env.sender < harness_.n();
+  const bool from_replica = env.sender() < harness_.n();
   std::visit(
       [&](const auto& m) {
         using T = std::decay_t<decltype(m)>;
@@ -79,27 +79,27 @@ void Pbft::dispatch_payload(const Envelope& env, net::NodeId raw_from,
             }
           }
           if constexpr (std::is_same_v<T, PrePrepare>) {
-            on_preprepare(m, env.sender);
+            on_preprepare(m, env.sender());
           } else if constexpr (std::is_same_v<T, Prepare>) {
-            on_prepare(m, env.sender);
+            on_prepare(m, env.sender());
           } else if constexpr (std::is_same_v<T, Commit>) {
-            on_commit(m, env.sender);
+            on_commit(m, env.sender());
           } else if constexpr (std::is_same_v<T, Checkpoint>) {
-            on_checkpoint(m, env.sender, env.signature);
+            on_checkpoint(m, env.sender(), env.signature());
           } else if constexpr (std::is_same_v<T, ViewChange>) {
-            on_viewchange(m, env.sender, env.signature);
+            on_viewchange(m, env.sender(), env.signature());
           } else if constexpr (std::is_same_v<T, NewView>) {
-            on_newview(m, env.sender);
+            on_newview(m, env.sender());
           } else if constexpr (std::is_same_v<T, StateRequest>) {
-            tail_.on_state_request(m, env.sender, last_new_view_);
+            tail_.on_state_request(m, env.sender(), last_new_view_);
           } else if constexpr (std::is_same_v<T, StateResponse>) {
-            on_state_response(m, env.sender, raw_bytes);
+            on_state_response(m, env.sender(), raw_bytes);
           }
           // HotStuff payloads fall through: a PBFT replica ignores the
           // other lane's traffic entirely.
         }
       },
-      env.payload);
+      env.payload());
 }
 
 void Pbft::replay_future_messages() {
@@ -117,15 +117,15 @@ void Pbft::replay_future_messages() {
               return;
             }
             if constexpr (std::is_same_v<T, PrePrepare>) {
-              on_preprepare(m, env.sender);
+              on_preprepare(m, env.sender());
             } else if constexpr (std::is_same_v<T, Prepare>) {
-              on_prepare(m, env.sender);
+              on_prepare(m, env.sender());
             } else {
-              on_commit(m, env.sender);
+              on_commit(m, env.sender());
             }
           }
         },
-        env.payload);
+        env.payload());
   }
 }
 
@@ -519,26 +519,23 @@ void Pbft::start_view_change(View target) {
   disarm_request_timer();
   disarm_batch_timer();
 
-  ViewChange vc;
-  vc.new_view = target;
-  vc.last_executed = stable_checkpoint();
+  std::vector<PreparedEntry> prepared;
   for (const auto& [seq, slot] : slots_) {
     if (slot.prepared && seq > stable_checkpoint()) {
-      vc.prepared.push_back(
-          PreparedEntry{slot.prepared_view, seq, slot.batch});
+      prepared.push_back(PreparedEntry{slot.prepared_view, seq, slot.batch});
     }
   }
   arm_viewchange_timer(target);
-  broadcast(vc);
+  broadcast(ViewChange(target, stable_checkpoint(), std::move(prepared)));
 }
 
 void Pbft::on_viewchange(const ViewChange& vc, ReplicaId from,
                          const crypto::Signature& signature) {
   // A view change states the sender's stable checkpoint — a signed claim
   // usable as state-transfer evidence.
-  tail_.fetch().note_claim(from, vc.last_executed);
-  if (vc.new_view <= view_) return;
-  auto& votes = viewchange_votes_[vc.new_view];
+  tail_.fetch().note_claim(from, vc.last_executed());
+  if (vc.new_view() <= view_) return;
+  auto& votes = viewchange_votes_[vc.new_view()];
   const bool already =
       std::any_of(votes.begin(), votes.end(),
                   [from](const SignedViewChange& s) {
@@ -554,11 +551,11 @@ void Pbft::on_viewchange(const ViewChange& vc, ReplicaId from,
   // Join rule: a third of the power already wants this view, so at least
   // one honest replica timed out — join to guarantee liveness.
   if (is_third(weight) &&
-      (!in_view_change_ || pending_view_ < vc.new_view)) {
-    start_view_change(vc.new_view);
+      (!in_view_change_ || pending_view_ < vc.new_view())) {
+    start_view_change(vc.new_view());
   }
-  if (primary_of(vc.new_view) == id()) {
-    maybe_assemble_new_view(vc.new_view);
+  if (primary_of(vc.new_view()) == id()) {
+    maybe_assemble_new_view(vc.new_view());
   }
 }
 
@@ -567,8 +564,8 @@ std::vector<PrePrepare> Pbft::compute_reproposals(
   SeqNum min_s = 0;
   SeqNum max_s = 0;
   for (const SignedViewChange& s : proofs) {
-    min_s = std::max(min_s, s.vc.last_executed);
-    for (const PreparedEntry& e : s.vc.prepared) {
+    min_s = std::max(min_s, s.vc.last_executed());
+    for (const PreparedEntry& e : s.vc.prepared()) {
       max_s = std::max(max_s, e.seq);
     }
   }
@@ -576,7 +573,7 @@ std::vector<PrePrepare> Pbft::compute_reproposals(
   for (SeqNum seq = min_s + 1; seq <= max_s; ++seq) {
     const PreparedEntry* best = nullptr;
     for (const SignedViewChange& s : proofs) {
-      for (const PreparedEntry& e : s.vc.prepared) {
+      for (const PreparedEntry& e : s.vc.prepared()) {
         if (e.seq != seq) continue;
         if (best == nullptr || e.view > best->view) best = &e;
       }
@@ -617,7 +614,7 @@ bool Pbft::verify_new_view(const NewView& nv) const {
   std::vector<bool> seen(harness_.n(), false);
   for (const SignedViewChange& s : nv.proofs) {
     if (s.sender >= harness_.n() || seen[s.sender]) return false;
-    if (s.vc.new_view != nv.view) return false;
+    if (s.vc.new_view() != nv.view) return false;
     if (!harness_.registry().verify(harness_.directory()[s.sender],
                                     s.vc.digest(), s.signature)) {
       return false;
@@ -660,7 +657,7 @@ void Pbft::install_new_view(const NewView& nv) {
   // if a quorum certifies state above our horizon, we missed committed
   // traffic and should fetch rather than wait for the next checkpoint.
   for (const SignedViewChange& s : nv.proofs) {
-    tail_.fetch().note_claim(s.sender, s.vc.last_executed);
+    tail_.fetch().note_claim(s.sender, s.vc.last_executed());
   }
 
   // Reset consensus state for unexecuted sequence numbers: votes from

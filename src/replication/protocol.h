@@ -101,6 +101,11 @@ class OrderingProtocol {
   [[nodiscard]] SeqNum stable_checkpoint() const noexcept {
     return tail_.checkpoints().stable();
   }
+  /// Digest of this replica's whole executed log — what a checkpoint at
+  /// last_executed() carries — read off the tail's running digest.
+  [[nodiscard]] crypto::Digest state_digest() const {
+    return tail_.state_digest();
+  }
   /// State digest of this replica's stable checkpoint (meaningful only
   /// when stable_checkpoint() > 0).
   [[nodiscard]] const crypto::Digest& stable_checkpoint_digest()

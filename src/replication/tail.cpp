@@ -3,7 +3,19 @@
 namespace findep::replication {
 
 ExecutionTail::ExecutionTail(NodeHarness& harness)
-    : harness_(&harness), ckpt_(harness), fetch_(harness, last_executed_) {}
+    : harness_(&harness), ckpt_(harness), fetch_(harness, last_executed_) {
+  state_hash_.update("findep/bft/state/v1");
+}
+
+void ExecutionTail::append(const bft::ExecutedEntry& entry) {
+  executed_.push_back(entry);
+  absorb(state_hash_, entry);
+}
+
+void ExecutionTail::absorb(crypto::Sha256& h, const bft::ExecutedEntry& e) {
+  h.update_u64(e.seq);
+  h.update(e.request.digest().bytes);
+}
 
 void ExecutionTail::execute(bft::SeqNum seq, const bft::Batch& batch) {
   last_executed_ = seq;
@@ -14,20 +26,22 @@ void ExecutionTail::execute(bft::SeqNum seq, const bft::Batch& batch) {
       pending_.erase(r.id);
       commit_times_.emplace_back(r.id, harness_->simulator().now());
     }
-    executed_.push_back(bft::ExecutedEntry{seq, r});
+    append(bft::ExecutedEntry{seq, r});
   }
 }
 
 crypto::Digest ExecutionTail::state_digest_with(
     const std::vector<bft::ExecutedEntry>& extra) const {
-  return state_digest_over(executed_, extra);
+  crypto::Sha256 h = state_hash_;
+  for (const bft::ExecutedEntry& e : extra) absorb(h, e);
+  return h.finish();
 }
 
 void ExecutionTail::maybe_checkpoint() {
   const bft::SeqNum seq = ckpt_.maybe_emit(
       last_executed_, harness_->options().checkpoint_interval);
   if (seq == 0) return;
-  harness_->broadcast(bft::Checkpoint{seq, state_digest_with({})});
+  harness_->broadcast(bft::Checkpoint{seq, state_digest()});
 }
 
 bool ExecutionTail::on_checkpoint(const bft::Checkpoint& cp,
@@ -110,7 +124,7 @@ bool ExecutionTail::on_state_response(const bft::StateResponse& resp,
       executed_ids_[e.request.id] = true;
       pending_.erase(e.request.id);
     }
-    executed_.push_back(e);
+    append(e);
   }
   last_executed_ = resp.checkpoint.seq;
   ++transfers_completed_;

@@ -104,6 +104,11 @@ class ExecutionTail {
   [[nodiscard]] bft::SeqNum last_executed() const noexcept {
     return last_executed_;
   }
+  /// Digest of the whole executed log: what a checkpoint at the current
+  /// horizon carries.
+  [[nodiscard]] crypto::Digest state_digest() const {
+    return state_digest_with({});
+  }
   [[nodiscard]] const std::vector<std::pair<std::uint64_t, double>>&
   commit_times() const noexcept {
     return commit_times_;
@@ -122,14 +127,24 @@ class ExecutionTail {
   }
 
  private:
+  /// Appends one entry to the executed log and the running digest (the
+  /// only way entries enter the log).
+  void append(const bft::ExecutedEntry& entry);
+  /// Absorbs one entry's (seq, request digest) into a state digest.
+  static void absorb(crypto::Sha256& h, const bft::ExecutedEntry& e);
   /// State digest of this log extended by `extra` (what a checkpoint
-  /// hashes, and what a state response's entries must reproduce).
+  /// hashes, and what a state response's entries must reproduce). Copies
+  /// the running digest and absorbs only `extra`.
   [[nodiscard]] crypto::Digest state_digest_with(
       const std::vector<bft::ExecutedEntry>& extra) const;
 
   NodeHarness* harness_;
   bft::SeqNum last_executed_ = 0;
   std::vector<bft::ExecutedEntry> executed_;
+  /// SHA-256 of the state-digest tag followed by every executed entry,
+  /// absorbed as each entry is appended, so a checkpoint never re-hashes
+  /// the log from genesis.
+  crypto::Sha256 state_hash_;
   std::unordered_map<std::uint64_t, bool> executed_ids_;
   std::unordered_map<std::uint64_t, bft::Request> pending_;
   /// (request id, simulated commit time) per request executed here —

@@ -4,9 +4,11 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
+#include "bft/cluster.h"
 #include "config/sampler.h"
 #include "crypto/keys.h"
 #include "crypto/merkle.h"
@@ -17,6 +19,7 @@
 #include "net/network.h"
 #include "runtime/registry.h"
 #include "sim/simulator.h"
+#include "support/assert.h"
 #include "support/rng.h"
 
 namespace findep::scenarios {
@@ -33,7 +36,39 @@ struct OpResult {
   std::size_t iterations = 0;
   double seconds = 0.0;
   std::uint64_t checksum = 0;
+  /// Set by the hash_work_* ops only.
+  std::optional<double> sha256_blocks_per_commit;
 };
+
+/// Hash *work* of the fault-free commit path: one n=4 cluster, batch 4,
+/// 64 requests, crypto=free. SHA-256 blocks are counted from the first
+/// submit to the last execution (key set-up excluded) and divided by the
+/// committed requests. The count is deterministic, so the perf gate pins
+/// it exactly: a handler that starts re-hashing a payload, or a message
+/// whose digest is recomputed per recipient, moves it.
+OpResult hash_work(replication::Protocol protocol, std::uint64_t seed) {
+  bft::ClusterOptions options;
+  options.seed = seed;
+  options.protocol = protocol;
+  options.replica.batch_size = 4;
+  bft::BftCluster cluster(4, options);
+  constexpr std::size_t kRequests = 64;
+  const auto start = std::chrono::steady_clock::now();
+  const std::uint64_t blocks_before = crypto::sha256_blocks();
+  for (std::size_t i = 0; i < kRequests; ++i) (void)cluster.submit();
+  const bool done = cluster.run_until_executed(kRequests, 120.0);
+  const std::uint64_t blocks = crypto::sha256_blocks() - blocks_before;
+  const auto stop = std::chrono::steady_clock::now();
+  FINDEP_REQUIRE_MSG(done, "hash_work cluster did not commit its load");
+  OpResult result;
+  result.iterations = 1;
+  result.seconds = std::chrono::duration<double>(stop - start).count();
+  result.checksum = blocks;
+  result.sha256_blocks_per_commit =
+      static_cast<double>(blocks) /
+      static_cast<double>(cluster.completed_requests());
+  return result;
+}
 
 template <typename Body>
 OpResult time_op(std::size_t iterations, Body&& body) {
@@ -50,6 +85,12 @@ OpResult time_op(std::size_t iterations, Body&& body) {
 }
 
 OpResult run_op(const std::string& op, std::uint64_t seed) {
+  if (op == "hash_work_pbft") {
+    return hash_work(replication::Protocol::kPbft, seed);
+  }
+  if (op == "hash_work_hotstuff") {
+    return hash_work(replication::Protocol::kHotStuff, seed);
+  }
   if (op == "sha256_4k") {
     const std::vector<std::uint8_t> data(4096, 0xab);
     return time_op(2048, [&](std::size_t) {
@@ -274,6 +315,9 @@ runtime::MetricRecord MicroScenario::run(
                   : 0.0);
   metrics.set("checksum_lo32",
               static_cast<double>(result.checksum & 0xffffffffULL));
+  if (result.sha256_blocks_per_commit.has_value()) {
+    metrics.set("sha256_blocks_per_commit", *result.sha256_blocks_per_commit);
+  }
   return metrics;
 }
 
@@ -288,7 +332,8 @@ const runtime::ScenarioRegistration kMicro{{
                 "merkle_build_1k", "merkle_prove_1k",
                 "entropy_4k", "config_digest", "analyzer_n100",
                 "sim_schedule_pop", "sim_timer_churn",
-                "sim_far_future_insert", "sim_broadcast_100"}},
+                "sim_far_future_insert", "sim_broadcast_100",
+                "hash_work_pbft", "hash_work_hotstuff"}},
     }},
     .factory =
         [](const runtime::ParamSet& p) -> std::unique_ptr<runtime::Scenario> {

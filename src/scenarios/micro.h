@@ -21,7 +21,9 @@ class MicroScenario : public runtime::Scenario {
     /// One of: sha256_4k, merkle_build_1k, merkle_prove_1k, entropy_4k,
     /// config_digest, analyzer_n100, sim_schedule_pop, sim_timer_churn,
     /// sim_broadcast_100 (the sim_* rows are the event-engine hot path:
-    /// schedule/pop, BFT-style timer churn, network broadcast fan-out).
+    /// schedule/pop, BFT-style timer churn, network broadcast fan-out),
+    /// hash_work_pbft, hash_work_hotstuff (one fault-free cluster run
+    /// each; they also emit the deterministic sha256_blocks_per_commit).
     std::string op = "sha256_4k";
   };
 

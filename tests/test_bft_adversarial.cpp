@@ -95,8 +95,8 @@ TEST(BftAdversarial, ForgedEnvelopeIsIgnored) {
   // primary) but signed with a key that is not in the directory.
   crypto::KeyPair outsider = crypto::KeyPair::derive(999999);
   Request forged_request{77, crypto::sha256("forged-op")};
-  Envelope forged = make_envelope(/*sender=*/0, outsider,
-                                  PrePrepare{0, 1, Batch{{forged_request}}});
+  const Envelope forged(/*sender=*/0, outsider,
+                        PrePrepare{0, 1, Batch{{forged_request}}});
   for (net::NodeId r = 0; r < 4; ++r) {
     cluster.network().send(0, r, forged, 256);
   }
@@ -109,6 +109,42 @@ TEST(BftAdversarial, ForgedEnvelopeIsIgnored) {
   EXPECT_TRUE(cluster.run_until_executed(1, 30.0));
 }
 
+TEST(BftAdversarial, EnvelopeDigestIsBoundAtConstruction) {
+  const crypto::KeyPair keys = crypto::KeyPair::derive(7);
+  crypto::KeyRegistry registry;
+  registry.enroll(keys);
+  const Request r{9, crypto::sha256("op")};
+  const Envelope env(2, keys, PrePrepare{1, 4, Batch{{r}}});
+  EXPECT_EQ(env.sender(), 2u);
+  EXPECT_EQ(env.sender_key(), keys.public_key());
+  EXPECT_EQ(env.digest(), payload_digest(env.payload()));
+  EXPECT_TRUE(verify_envelope(registry, env));
+  // Copies — what a replica buffers for future-view replay — carry the
+  // same digest and still verify.
+  const Envelope copy = env;
+  EXPECT_EQ(copy.digest(), payload_digest(copy.payload()));
+  EXPECT_TRUE(verify_envelope(registry, copy));
+  Envelope assigned(0, keys, Commit{});
+  assigned = env;
+  EXPECT_EQ(assigned.digest(), env.digest());
+  EXPECT_TRUE(verify_envelope(registry, assigned));
+}
+
+TEST(BftAdversarial, EnvelopeSignedByNonDirectoryKeyIsRejected) {
+  // The envelope takes its sender key from the signing key pair, so an
+  // outsider signing as replica 0 still presents its own key, which the
+  // registry does not hold.
+  const crypto::KeyPair member = crypto::KeyPair::derive(7);
+  const crypto::KeyPair outsider = crypto::KeyPair::derive(8);
+  crypto::KeyRegistry registry;
+  registry.enroll(member);
+  const Payload payload = Commit{0, 1, crypto::sha256("x")};
+  const Envelope forged(0, outsider, payload);
+  EXPECT_EQ(forged.sender_key(), outsider.public_key());
+  EXPECT_FALSE(verify_envelope(registry, forged));
+  EXPECT_TRUE(verify_envelope(registry, Envelope(0, member, payload)));
+}
+
 TEST(BftAdversarial, OutsiderCannotSendProtocolMessages) {
   BftCluster cluster(4, fast_options(25));
   // A *valid* key, but sender id beyond the directory: protocol messages
@@ -117,8 +153,8 @@ TEST(BftAdversarial, OutsiderCannotSendProtocolMessages) {
   // Enroll via a fresh cluster-side path: the registry only holds cluster
   // keys, so verification fails regardless; this asserts no crash and no
   // progress from garbage.
-  Envelope env = make_envelope(/*sender=*/17, client,
-                               Commit{0, 1, crypto::sha256("x")});
+  const Envelope env(/*sender=*/17, client,
+                     Commit{0, 1, crypto::sha256("x")});
   for (net::NodeId r = 0; r < 4; ++r) {
     cluster.network().send(17, r, env, 256);
   }
@@ -279,10 +315,8 @@ TEST(BftAdversarial, DuplicateRequestInBatchesExecutesOnce) {
       crypto::KeyPair::derive(opt.seed * 1000003 + 0);
   const Request r{500, crypto::sha256("dup-op")};
   const Request other{501, crypto::sha256("other-op")};
-  const Envelope first =
-      make_envelope(0, primary_keys, PrePrepare{0, 1, Batch{{r, r, other}}});
-  const Envelope second =
-      make_envelope(0, primary_keys, PrePrepare{0, 2, Batch{{r}}});
+  const Envelope first(0, primary_keys, PrePrepare{0, 1, Batch{{r, r, other}}});
+  const Envelope second(0, primary_keys, PrePrepare{0, 2, Batch{{r}}});
   for (net::NodeId to = 0; to < 4; ++to) {
     cluster.network().send(0, to, first, 512);
     cluster.network().send(0, to, second, 512);

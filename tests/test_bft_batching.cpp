@@ -67,11 +67,30 @@ TEST(BftBatch, WireBytesScaleWithBatchAndPreparedEntries) {
             192u + 3u * 320u);
   // View changes are flat while empty and grow with carried batches —
   // the under-reporting fix for variable-length payloads.
-  ViewChange vc;
-  vc.new_view = 1;
-  EXPECT_EQ(payload_wire_bytes(Payload{vc}), 1024u);
-  vc.prepared.push_back(PreparedEntry{0, 1, three});
-  EXPECT_EQ(payload_wire_bytes(Payload{vc}), 1024u + 48u + 3u * 320u);
+  EXPECT_EQ(payload_wire_bytes(Payload{ViewChange(1, 0, {})}), 1024u);
+  EXPECT_EQ(payload_wire_bytes(
+                Payload{ViewChange(1, 0, {PreparedEntry{0, 1, three}})}),
+            1024u + 48u + 3u * 320u);
+}
+
+TEST(BftBatch, ViewChangeDigestIsPinned) {
+  // The view-change digest is computed once, at construction; this value
+  // was computed by the mutable-struct digest it replaced, so the wire
+  // digest cannot drift.
+  const Request a{1, crypto::sha256("op-a")};
+  const Request b{2, crypto::sha256("op-b")};
+  const Request c{3, crypto::sha256("op-c")};
+  const ViewChange vc(3, 8,
+                      {PreparedEntry{1, 9, Batch{{a, b}}},
+                       PreparedEntry{2, 10, Batch{{c}}},
+                       PreparedEntry{2, 11, Batch{}}});
+  EXPECT_EQ(vc.digest().to_hex(),
+            "8eb5a46ef321deeada045336f6df16f2878fd58e3a5404d04aae68cd21080b8d");
+  EXPECT_EQ(payload_digest(Payload{vc}), vc.digest());
+  EXPECT_EQ(vc.new_view(), 3u);
+  EXPECT_EQ(vc.last_executed(), 8u);
+  ASSERT_EQ(vc.prepared().size(), 3u);
+  EXPECT_EQ(vc.prepared()[0].batch, (Batch{{a, b}}));
 }
 
 TEST(BftBatch, FullBatchesCommitAndUnrollPerRequest) {

@@ -77,6 +77,29 @@ TEST(BftStateTransfer, LaggardRecoversAcrossMultiCheckpointOutage) {
   }
 }
 
+TEST(BftStateTransfer, SplicedLogKeepsTheRunningStateDigest) {
+  // The tail absorbs each executed entry into a running digest instead
+  // of re-hashing the log at every checkpoint. A state-transfer splice
+  // appends through the same path, so after recovery every replica's
+  // digest must still equal a from-scratch fold over its executed log.
+  ClusterOptions opt = churn_options(101);
+  BftCluster cluster(4, opt);
+  offer_load(cluster, 12.0, 9.0);
+  schedule_outage(cluster, {3}, 1.0, 7.0);
+  cluster.run_for(20.0);
+  ASSERT_GE(cluster.replica(3).state_transfers_completed(), 1u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    crypto::Sha256 fold;
+    fold.update("findep/bft/state/v1");
+    for (const ExecutedEntry& e : cluster.node(i).executed()) {
+      fold.update_u64(e.seq);
+      fold.update(e.request.digest().bytes);
+    }
+    EXPECT_EQ(cluster.node(i).state_digest(), fold.finish()) << i;
+  }
+  EXPECT_EQ(cluster.node(3).state_digest(), cluster.node(0).state_digest());
+}
+
 TEST(BftStateTransfer, DisabledStateTransferReproducesStranding) {
   // The identical schedule with state transfer off regression-pins the
   // historical behaviour: the laggard stays stranded below the stable
@@ -193,7 +216,7 @@ TEST_P(BftStateTransferLanes, MaliciousResponderWrongDigestIsRejected) {
   // Heal only the laggard's link and inject the poison immediately.
   cluster.simulator().schedule_at(7.0, [&cluster, &responder_keys, poison] {
     cluster.network().send(
-        1, 3, net::Envelope(make_envelope(1, responder_keys, poison)),
+        1, 3, net::Envelope(Envelope(1, responder_keys, poison)),
         payload_wire_bytes(Payload{poison}));
   });
   cluster.run_for(13.5);
@@ -228,7 +251,7 @@ TEST(BftStateTransfer, SingleFarFutureClaimDoesNotTriggerFetch) {
   for (int wave = 0; wave < 5; ++wave) {
     const Checkpoint fantasy{100000 + static_cast<SeqNum>(wave),
                              crypto::sha256("fantasy")};
-    const net::Envelope env(make_envelope(2, liar_keys, fantasy));
+    const net::Envelope env(Envelope(2, liar_keys, fantasy));
     cluster.simulator().schedule_at(0.5 * wave, [&cluster, env] {
       for (net::NodeId to = 0; to < 4; ++to) {
         if (to != 2) cluster.network().send(2, to, env, 192);
