@@ -25,6 +25,20 @@ crypto::Digest Batch::digest() const {
   return h.finish();
 }
 
+Batch forged(const Batch& batch) {
+  Batch twin;
+  twin.requests.reserve(batch.size());
+  for (const Request& r : batch.requests) {
+    twin.requests.push_back(Request{
+        r.id ^ 0x8000000000000000ULL,
+        crypto::Sha256{}
+            .update("findep/forged/v1")
+            .update(r.operation.bytes)
+            .finish()});
+  }
+  return twin;
+}
+
 crypto::Digest PrePrepare::digest() const {
   return crypto::Sha256{}
       .update("findep/bft/preprepare/v1")

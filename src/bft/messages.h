@@ -47,6 +47,12 @@ struct Batch {
   bool operator==(const Batch&) const = default;
 };
 
+/// The conflicting twin an equivocating leader sends alongside `batch`:
+/// the same size, every request id flipped in its top bit and every
+/// operation re-hashed, so its digest differs while its wire size does
+/// not. Deterministic, so every replica forges the identical twin.
+[[nodiscard]] Batch forged(const Batch& batch);
+
 struct PrePrepare {
   View view = 0;
   SeqNum seq = 0;

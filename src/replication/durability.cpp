@@ -157,21 +157,14 @@ void StateFetchMachine::on_rejected(bft::ReplicaId from) {
   if (!timer_.has_value()) return;
   // Retry elsewhere immediately instead of waiting out the timer;
   // last_fetch_peer_ steers the pick away from this responder.
-  disarm();
+  harness_->simulator().cancel(timer_);
   last_fetch_peer_ = from;
   tick();
 }
 
 void StateFetchMachine::on_adopted() {
-  disarm();
+  harness_->simulator().cancel(timer_);
   last_fetch_peer_.reset();
-}
-
-void StateFetchMachine::disarm() {
-  if (timer_.has_value()) {
-    harness_->simulator().cancel(*timer_);
-    timer_.reset();
-  }
 }
 
 bool verify_checkpoint_proof(const NodeHarness& harness,

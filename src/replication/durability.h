@@ -118,8 +118,6 @@ class StateFetchMachine {
   /// A response was verified and adopted: stand down.
   void on_adopted();
 
-  void disarm();
-
   /// StateRequest messages sent (first attempts and retries).
   [[nodiscard]] std::uint64_t requests_sent() const noexcept {
     return requests_sent_;

@@ -13,8 +13,7 @@ NodeHarness::NodeHarness(OrderingProtocol& protocol, bft::ReplicaId id,
                          std::vector<double> weights,
                          std::vector<crypto::PublicKey> directory,
                          crypto::KeyRegistry& registry, crypto::KeyPair keys,
-                         net::SimNetwork& network, ReplicaOptions options,
-                         Protocol kind)
+                         net::SimNetwork& network, ReplicaOptions options)
     : protocol_(&protocol),
       id_(id),
       weights_(std::move(weights)),
@@ -26,7 +25,7 @@ NodeHarness::NodeHarness(OrderingProtocol& protocol, bft::ReplicaId id,
   FINDEP_REQUIRE(id_ < weights_.size());
   FINDEP_REQUIRE(weights_.size() == directory_.size());
   FINDEP_REQUIRE(weights_.size() >= 4);  // tolerate at least one fault
-  validate_replica_options(options_, kind);
+  validate_replica_options(options_);
   for (const double w : weights_) {
     FINDEP_REQUIRE(w > 0.0);
     total_weight_ += w;
@@ -58,25 +57,34 @@ void NodeHarness::start() {
                    [this](const net::Message& msg) { on_message(msg); });
 }
 
-void NodeHarness::broadcast(bft::Payload payload) {
-  if (options_.behavior == Behavior::kSilent) return;
-  const std::uint64_t bytes = bft::payload_wire_bytes(payload);
-  // One shared body for the whole fan-out (every replica is attached, so
-  // the network broadcast reaches exactly the other replicas)...
-  const net::Envelope wire(bft::Envelope(id_, keys_, std::move(payload)));
-  if (options_.cost_model.is_free()) {
-    network_->broadcast(id_, wire, bytes);
-    // ...then the "send to yourself" leg, sharing the same body.
-    network_->send(id_, id_, wire, bytes);
+net::Envelope NodeHarness::sign(bft::Payload payload) const {
+  return net::Envelope(bft::Envelope(id_, keys_, std::move(payload)));
+}
+
+template <typename Deliver>
+void NodeHarness::after_signing(int signatures, Deliver deliver) {
+  if (signatures == 0 || options_.cost_model.is_free()) {
+    deliver();
     return;
   }
   // Modeled signing occupies the protocol core: back-to-back sends
   // serialize behind the sign accumulator, and the wire only leaves once
-  // its signature is done. One signature covers the whole fan-out.
+  // its signatures are done.
   sim::Simulator& sim = network_->simulator();
-  sign_ready_at_ = std::max(sign_ready_at_, sim.now()) +
-                   options_.cost_model.sign_seconds();
-  sim.schedule_at(sign_ready_at_, [this, wire, bytes] {
+  sign_ready_at_ = std::max(sign_ready_at_, sim.now());
+  for (int i = 0; i < signatures; ++i) {
+    sign_ready_at_ += options_.cost_model.sign_seconds();
+  }
+  sim.schedule_at(sign_ready_at_, std::move(deliver));
+}
+
+void NodeHarness::broadcast(bft::Payload payload) {
+  if (options_.behavior == Behavior::kSilent) return;
+  const std::uint64_t bytes = bft::payload_wire_bytes(payload);
+  // One shared body (and one signature) for the whole fan-out: every
+  // replica is attached, so the network broadcast reaches exactly the
+  // other replicas, then the "send to yourself" leg shares the body.
+  after_signing(1, [this, wire = sign(std::move(payload)), bytes] {
     network_->broadcast(id_, wire, bytes);
     network_->send(id_, id_, wire, bytes);
   });
@@ -92,16 +100,27 @@ void NodeHarness::send_to(net::NodeId to, bft::Payload payload) {
   // relaying a big request burst would otherwise delay its own votes by
   // the whole burst's worth of signing).
   const bool relay = std::holds_alternative<bft::Request>(payload);
-  const net::Envelope wire(bft::Envelope(id_, keys_, std::move(payload)));
-  if (options_.cost_model.is_free() || relay) {
-    network_->send(id_, to, wire, bytes);
-    return;
-  }
-  sim::Simulator& sim = network_->simulator();
-  sign_ready_at_ = std::max(sign_ready_at_, sim.now()) +
-                   options_.cost_model.sign_seconds();
-  sim.schedule_at(sign_ready_at_, [this, to, wire, bytes] {
-    network_->send(id_, to, wire, bytes);
+  after_signing(relay ? 0 : 1,
+                [this, to, wire = sign(std::move(payload)), bytes] {
+                  network_->send(id_, to, wire, bytes);
+                });
+}
+
+void NodeHarness::send_split(bft::Payload even, bft::Payload odd) {
+  if (options_.behavior == Behavior::kSilent) return;
+  const std::uint64_t even_bytes = bft::payload_wire_bytes(even);
+  const std::uint64_t odd_bytes = bft::payload_wire_bytes(odd);
+  after_signing(2, [this, even_wire = sign(std::move(even)),
+                    odd_wire = sign(std::move(odd)), even_bytes,
+                    odd_bytes] {
+    for (bft::ReplicaId r = 0; r < n(); ++r) {
+      if (r == id_) continue;
+      if (r % 2 == 0) {
+        network_->send(id_, r, even_wire, even_bytes);
+      } else {
+        network_->send(id_, r, odd_wire, odd_bytes);
+      }
+    }
   });
 }
 

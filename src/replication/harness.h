@@ -7,9 +7,9 @@
 // the weighted-quorum arithmetic. The ordering protocol above it
 // (replication::Pbft, replication::HotStuff) receives fully
 // authenticated payloads through OrderingProtocol::dispatch_payload and
-// sends through broadcast()/send_to() — it never touches the wire or the
-// crypto cost model directly, so a new protocol inherits the entire
-// modeled-crypto machinery for free.
+// sends through broadcast()/send_to()/send_split() — it never touches
+// the wire or the crypto cost model directly, so a new protocol inherits
+// the entire modeled-crypto machinery for free.
 #pragma once
 
 #include <map>
@@ -31,14 +31,12 @@ class NodeHarness {
   /// `weights[i]` is replica i's voting power; `directory[i]` its public
   /// key (both indexed by ReplicaId, same size). `keys` must match
   /// `directory[id]` and be enrolled in `registry`. Validates `options`
-  /// for `kind` (the shared validator — one set of checks for every
-  /// protocol).
+  /// (the shared validator — one set of checks for every protocol).
   NodeHarness(OrderingProtocol& protocol, bft::ReplicaId id,
               std::vector<double> weights,
               std::vector<crypto::PublicKey> directory,
               crypto::KeyRegistry& registry, crypto::KeyPair keys,
-              net::SimNetwork& network, ReplicaOptions options,
-              Protocol kind);
+              net::SimNetwork& network, ReplicaOptions options);
 
   NodeHarness(const NodeHarness&) = delete;
   NodeHarness& operator=(const NodeHarness&) = delete;
@@ -53,6 +51,10 @@ class NodeHarness {
   // behind the per-replica signing accumulator.
   void broadcast(bft::Payload payload);
   void send_to(net::NodeId to, bft::Payload payload);
+  /// Equivocation: `even` to every even-id peer and `odd` to every
+  /// odd-id peer, never to this replica itself. Each payload is signed
+  /// once, like a broadcast body.
+  void send_split(bft::Payload even, bft::Payload odd);
 
   [[nodiscard]] bft::ReplicaId id() const noexcept { return id_; }
   /// Cluster size (weights and directory share it).
@@ -115,6 +117,13 @@ class NodeHarness {
   /// speculative for client requests; protocol-declared stale work shed
   /// on dequeue) and dispatches from the in-order completion.
   void offload_verify(const net::Message& raw, const bft::Envelope& env);
+  /// Signs `payload` as this replica: the wire body of one send.
+  [[nodiscard]] net::Envelope sign(bft::Payload payload) const;
+  /// Runs `deliver` once `signatures` fresh signatures are done: at once
+  /// under crypto=free (or for an unsigned relay), else behind the
+  /// signing accumulator.
+  template <typename Deliver>
+  void after_signing(int signatures, Deliver deliver);
 
   OrderingProtocol* protocol_;
   bft::ReplicaId id_;

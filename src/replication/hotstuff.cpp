@@ -8,13 +8,25 @@
 
 namespace findep::replication {
 
+namespace {
+
+/// Pacemaker backoff: the round timer (request_timeout x backoff) grows
+/// by this factor per consecutive timeout, reset on certified progress,
+/// and the accumulated multiplier is capped — round-robin rotation
+/// across a crashed leader pays the base timeout once per lap instead of
+/// compounding forever.
+constexpr double kBackoffFactor = 2.0;
+constexpr double kMaxBackoff = 64.0;
+
+}  // namespace
+
 HotStuff::HotStuff(ReplicaId id, std::vector<double> weights,
                    std::vector<crypto::PublicKey> directory,
                    crypto::KeyRegistry& registry, crypto::KeyPair keys,
                    net::SimNetwork& network, ReplicaOptions options)
     : OrderingProtocol(id, std::move(weights), std::move(directory),
                        registry, std::move(keys), network,
-                       std::move(options), Protocol::kHotStuff) {
+                       std::move(options)) {
   // Genesis anchor: round 0, height 0, zero parent, the one vote-free
   // QC. Every chain hangs off it; every replica derives the identical
   // digest, so genesis never travels on the wire.
@@ -24,14 +36,9 @@ HotStuff::HotStuff(ReplicaId id, std::vector<double> weights,
   high_qc_ = QuorumCert{0, 0, genesis_digest_, {}};
 }
 
-void HotStuff::submit(const Request& request) {
-  if (options().behavior == Behavior::kSilent) return;
-  on_request(request, id());
-}
-
 // --- dispatch --------------------------------------------------------------
 
-double HotStuff::verify_extra_cost(const Payload& payload) const {
+double HotStuff::proof_verify_cost(const Payload& payload) const {
   // Every QC rides one envelope and is batch-verified with its carrier.
   if (const auto* p = std::get_if<HsProposal>(&payload)) {
     return options().cost_model.batch_verify_seconds(
@@ -47,9 +54,6 @@ double HotStuff::verify_extra_cost(const Payload& payload) const {
   }
   if (const auto* n = std::get_if<HsQcNotice>(&payload)) {
     return options().cost_model.batch_verify_seconds(n->qc.votes.size());
-  }
-  if (const auto* resp = std::get_if<StateResponse>(&payload)) {
-    return options().cost_model.batch_verify_seconds(resp->proof.size());
   }
   return 0.0;
 }
@@ -69,37 +73,22 @@ runtime::WorkerPool::StaleCheck HotStuff::verify_stale_check(
   return nullptr;
 }
 
-void HotStuff::dispatch_payload(const Envelope& env, net::NodeId raw_from,
-                                std::uint64_t raw_bytes) {
-  const bool from_replica = env.sender() < harness_.n();
+void HotStuff::on_ordering(const Envelope& env) {
   std::visit(
       [&](const auto& m) {
         using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, Request>) {
-          on_request(m, raw_from);
-        } else if constexpr (std::is_same_v<T, HsProposal>) {
-          if (from_replica) on_proposal(m, env.sender());
+        if constexpr (std::is_same_v<T, HsProposal>) {
+          on_proposal(m, env.sender());
         } else if constexpr (std::is_same_v<T, HsVote>) {
-          if (from_replica) on_vote(m, env.sender(), env.signature());
+          on_vote(m, env.sender(), env.signature());
         } else if constexpr (std::is_same_v<T, HsTimeout>) {
-          if (from_replica) on_timeout(m, env.sender());
+          on_timeout(m, env.sender());
         } else if constexpr (std::is_same_v<T, HsQcNotice>) {
-          if (from_replica) on_qc_notice(m);
+          on_qc_notice(m);
         } else if constexpr (std::is_same_v<T, HsBlockRequest>) {
-          if (from_replica) on_block_request(m, env.sender());
+          on_block_request(m, env.sender());
         } else if constexpr (std::is_same_v<T, HsBlockResponse>) {
-          if (from_replica) on_block_response(m);
-        } else if constexpr (std::is_same_v<T, Checkpoint>) {
-          if (from_replica &&
-              tail_.on_checkpoint(m, env.sender(), env.signature())) {
-            prune_blocks();
-          }
-        } else if constexpr (std::is_same_v<T, StateRequest>) {
-          // No view-change artifact to relay: the pacemaker
-          // resynchronizes rounds by itself.
-          if (from_replica) tail_.on_state_request(m, env.sender());
-        } else if constexpr (std::is_same_v<T, StateResponse>) {
-          if (from_replica) on_state_response(m, env.sender(), raw_bytes);
+          on_block_response(m);
         }
         // PBFT payloads fall through: a HotStuff replica ignores the
         // other lane's traffic entirely.
@@ -109,13 +98,8 @@ void HotStuff::dispatch_payload(const Envelope& env, net::NodeId raw_from,
 
 // --- client ingress --------------------------------------------------------
 
-void HotStuff::on_request(const Request& request, net::NodeId from) {
-  if (tail_.has_executed(request.id)) return;
-  if (options().behavior == Behavior::kCensor && (request.id & 1) != 0) {
-    return;  // client-selective starvation, same attack as the PBFT lane
-  }
-  const bool fresh = !tail_.pending().contains(request.id);
-  tail_.pending()[request.id] = request;
+void HotStuff::on_request(const Request& request, net::NodeId from,
+                          bool fresh) {
   if (fresh && (from >= harness_.n() || from == id())) {
     // Client origin: relay to the current round's leader and the next —
     // leadership rotates every round, so either may cut the batch this
@@ -367,16 +351,8 @@ std::unordered_map<std::uint64_t, bool> HotStuff::chain_ids() const {
 
 std::vector<Request> HotStuff::eligible_requests() const {
   const std::unordered_map<std::uint64_t, bool> on_chain = chain_ids();
-  std::vector<const Request*> all;
-  all.reserve(tail_.pending().size());
-  // findep-lint: allow(unordered-iteration) -- collect-only walk; sorted by request id below before anything order-sensitive happens
-  for (const auto& [rid, request] : tail_.pending()) {
-    all.push_back(&request);
-  }
-  std::sort(all.begin(), all.end(),
-            [](const Request* a, const Request* b) { return a->id < b->id; });
   std::vector<Request> out;
-  for (const Request* r : all) {
+  for (const Request* r : tail_.pending_by_id()) {
     if (r->id != 0 &&
         (tail_.has_executed(r->id) || on_chain.contains(r->id))) {
       continue;
@@ -402,7 +378,7 @@ bool HotStuff::needs_flush() const {
   }
 }
 
-bool HotStuff::try_propose() {
+bool HotStuff::try_propose(bool partial) {
   if (options().behavior == Behavior::kSilent) return false;
   if (leader_of(round_) != id()) return false;
   if (last_proposed_round_ >= round_) return false;
@@ -416,10 +392,10 @@ bool HotStuff::try_propose() {
     propose(Batch{});                  // no-op block drives the 3-chain
     return true;
   }
-  if (eligible.size() < options().batch_size) {
+  if (!partial && eligible.size() < options().batch_size) {
     // Partial batch: give stragglers batch_timeout to arrive (validated
-    // < pacemaker_timeout, so the cut always lands before peers expire
-    // the round). The armed timer counts as an in-flight proposal.
+    // < request_timeout, so the cut always lands before peers expire the
+    // round). The armed timer counts as an in-flight proposal.
     arm_batch_timer();
     return true;
   }
@@ -431,7 +407,7 @@ bool HotStuff::try_propose() {
 
 void HotStuff::propose(Batch batch) {
   FINDEP_REQUIRE(leader_of(round_) == id());
-  disarm_batch_timer();
+  sim().cancel(batch_timer_);
   last_proposed_round_ = round_;
   HsBlock b;
   b.round = round_;
@@ -443,28 +419,13 @@ void HotStuff::propose(Batch batch) {
   if (options().behavior == Behavior::kEquivocate ||
       options().behavior == Behavior::kCollude) {
     // Conflicting blocks for the same round: the real one to the even
-    // half, a forged one to the odd half. Honest votes split between the
-    // two digests, neither reaches quorum weight, and the round times
-    // out onto the next leader — the QC rules reject equivocation
+    // half, its forged twin to the odd half. Honest votes split between
+    // the two digests, neither reaches quorum weight, and the round
+    // times out onto the next leader — the QC rules reject equivocation
     // structurally rather than by detection.
-    HsBlock forged = b;
-    forged.batch.requests.clear();
-    forged.batch.requests.reserve(b.batch.requests.size());
-    for (const Request& r : b.batch.requests) {
-      Request f = r;
-      f.id ^= 0x8000000000000000ULL;
-      f.operation = crypto::Sha256{}
-                        .update("findep/forged/v1")
-                        .update(r.operation.bytes)
-                        .finish();
-      forged.batch.requests.push_back(f);
-    }
-    const HsProposal real{b};
-    const HsProposal fake{forged};
-    for (ReplicaId r = 0; r < harness_.n(); ++r) {
-      if (r == id()) continue;
-      send_to(r, r % 2 == 0 ? Payload{real} : Payload{fake});
-    }
+    HsBlock twin = b;
+    twin.batch = bft::forged(b.batch);
+    send_split(HsProposal{std::move(b)}, HsProposal{std::move(twin)});
     return;  // the equivocator does not even convince itself
   }
 
@@ -484,8 +445,8 @@ void HotStuff::enter_round(Round r, bool via_qc) {
   }
   timeout_votes_.erase(timeout_votes_.begin(),
                        timeout_votes_.lower_bound(round_));
-  disarm_batch_timer();
-  disarm_round_timer();
+  sim().cancel(batch_timer_);
+  sim().cancel(round_timer_);
   ensure_pacemaker();
 }
 
@@ -495,12 +456,12 @@ void HotStuff::ensure_pacemaker() {
   if (!dirty) {
     // Quiescent: no timer, so a drained simulation terminates instead of
     // timing out forever on an empty chain.
-    disarm_round_timer();
+    sim().cancel(round_timer_);
     return;
   }
   if (round_timer_.has_value()) return;
   round_timer_ = sim().schedule_after(
-      options().pacemaker_timeout * backoff_, [this] {
+      options().request_timeout * backoff_, [this] {
         round_timer_.reset();
         round_expired();
       });
@@ -509,10 +470,9 @@ void HotStuff::ensure_pacemaker() {
 void HotStuff::round_expired() {
   ++timeouts_fired_;
   observed_disruption_ = true;
-  backoff_ = std::min(backoff_ * options().pacemaker_backoff,
-                      options().pacemaker_max_backoff);
+  backoff_ = std::min(backoff_ * kBackoffFactor, kMaxBackoff);
   ++round_;
-  disarm_batch_timer();
+  sim().cancel(batch_timer_);
   // A response that never came may be waiting behind a pruned request
   // mark; allow re-asking after the stall.
   requested_blocks_.clear();
@@ -528,18 +488,8 @@ void HotStuff::round_expired() {
   // submits the old leader censored or crashed on): re-relay everything
   // still pending, in request-id order so every replica re-drives
   // identically.
-  if (leader_of(round_) != id() && !tail_.pending().empty()) {
-    std::vector<const Request*> redrive;
-    redrive.reserve(tail_.pending().size());
-    // findep-lint: allow(unordered-iteration) -- collect-only walk; sorted by request id below before anything order-sensitive happens
-    for (const auto& [rid, request] : tail_.pending()) {
-      redrive.push_back(&request);
-    }
-    std::sort(redrive.begin(), redrive.end(),
-              [](const Request* a, const Request* b) {
-                return a->id < b->id;
-              });
-    for (const Request* r : redrive) {
+  if (leader_of(round_) != id()) {
+    for (const Request* r : tail_.pending_by_id()) {
       send_to(leader_of(round_), *r);
     }
   }
@@ -598,28 +548,8 @@ void HotStuff::arm_batch_timer() {
   if (batch_timer_.has_value()) return;
   batch_timer_ = sim().schedule_after(options().batch_timeout, [this] {
     batch_timer_.reset();
-    if (leader_of(round_) != id() || last_proposed_round_ >= round_) return;
-    if (high_qc_.round + 1 != round_ && tc_round_ < round_) return;
-    std::vector<Request> eligible = eligible_requests();
-    if (eligible.empty() && !needs_flush()) return;
-    Batch batch;
-    batch.requests = std::move(eligible);
-    propose(std::move(batch));
+    try_propose(/*partial=*/true);  // stragglers had their chance
   });
-}
-
-void HotStuff::disarm_batch_timer() {
-  if (batch_timer_.has_value()) {
-    sim().cancel(*batch_timer_);
-    batch_timer_.reset();
-  }
-}
-
-void HotStuff::disarm_round_timer() {
-  if (round_timer_.has_value()) {
-    sim().cancel(*round_timer_);
-    round_timer_.reset();
-  }
 }
 
 // --- durability ------------------------------------------------------------
@@ -640,9 +570,7 @@ void HotStuff::prune_blocks() {
   }
 }
 
-void HotStuff::on_state_response(const StateResponse& resp, ReplicaId from,
-                                 std::uint64_t raw_bytes) {
-  if (!tail_.on_state_response(resp, from, raw_bytes)) return;
+void HotStuff::on_state_adopted(const StateResponse& /*resp*/) {
   committed_height_ = std::max(committed_height_, last_executed());
   prune_blocks();
   // The chain tip may now be contiguous with the adopted horizon.

@@ -19,21 +19,24 @@
 // longest run some <1/3 crash patterns leave standing (e.g. replicas
 // {2,5} dead in n=7 caps the live run at {6,0,1}); the 3-chain rule
 // would need four and stall forever. Leadership rotates round-robin with
-// an exponential-backoff pacemaker: a round that makes no progress times
-// out, the timeout (carrying the sender's high-QC) is broadcast, a
+// an exponential-backoff pacemaker (base round timeout request_timeout,
+// doubled per consecutive timeout up to 64x, reset on certified
+// progress): a round that makes no progress times out, the timeout (carrying the sender's high-QC) is broadcast, a
 // > 2/3 timeout quorum licenses the new round's leader to propose
 // without a fresh QC, and a replica seeing > 1/3 timeout weight for a
 // later round joins the timeout itself (amplification) even when its
 // own pacemaker is idle.
 //
 // Reuses the shared layers end to end: NodeHarness for authentication,
-// modeled crypto and weighted quorums; bft::Batch and the primary-side
-// cut policy (batch_size / batch_timeout) for batching; the
-// ExecutionTail (replication/tail.h) for execution, checkpoints and
-// state transfer — a HotStuff checkpoint proof is verifiable by a PBFT
-// verifier and vice versa, because both hash the same executed-entry
-// log. HotStuff keeps only its post-adoption step (committed height,
-// block pruning, the commit retry).
+// modeled crypto and weighted quorums; OrderingProtocol for request
+// admission and durability routing; bft::Batch and the batch_size /
+// batch_timeout knobs for batching; the ExecutionTail
+// (replication/tail.h) for execution, checkpoints and state transfer —
+// a HotStuff checkpoint proof is verifiable by a PBFT verifier and vice
+// versa, because both hash the same executed-entry log. HotStuff keeps
+// its chain, votes and pacemaker, plus its post-checkpoint and
+// post-adoption steps (committed height, block pruning, the commit
+// retry).
 //
 // Byzantine behaviours mirror the PBFT lane where they translate:
 //   kSilent     — never sends anything.
@@ -82,8 +85,6 @@ class HotStuff final : public OrderingProtocol {
            crypto::KeyRegistry& registry, crypto::KeyPair keys,
            net::SimNetwork& network, ReplicaOptions options);
 
-  void submit(const Request& request) override;
-
   [[nodiscard]] Round round() const noexcept { return round_; }
   [[nodiscard]] const QuorumCert& high_qc() const noexcept {
     return high_qc_;
@@ -115,11 +116,7 @@ class HotStuff final : public OrderingProtocol {
   }
 
   // --- harness → protocol ----------------------------------------------
-  void dispatch_payload(const Envelope& env, net::NodeId raw_from,
-                        std::uint64_t raw_bytes) override;
   [[nodiscard]] runtime::WorkerPool::StaleCheck verify_stale_check(
-      const Payload& payload) const override;
-  [[nodiscard]] double verify_extra_cost(
       const Payload& payload) const override;
 
  private:
@@ -130,8 +127,18 @@ class HotStuff final : public OrderingProtocol {
     std::map<ReplicaId, HsSignedVote> votes;
   };
 
+  // --- lane hooks -------------------------------------------------------
+  [[nodiscard]] double proof_verify_cost(
+      const Payload& payload) const override;
+  /// Relays a fresh client request to the current and next leaders, then
+  /// proposes (if leading) and keeps the pacemaker armed.
+  void on_request(const Request& request, net::NodeId from,
+                  bool fresh) override;
+  void on_ordering(const Envelope& env) override;
+  void on_checkpoint_stable() override { prune_blocks(); }
+  void on_state_adopted(const StateResponse& resp) override;
+
   // --- dispatch ---------------------------------------------------------
-  void on_request(const Request& request, net::NodeId from);
   void on_proposal(const HsProposal& p, ReplicaId from);
   void on_vote(const HsVote& v, ReplicaId from,
                const crypto::Signature& signature);
@@ -139,8 +146,6 @@ class HotStuff final : public OrderingProtocol {
   void on_qc_notice(const HsQcNotice& notice);
   void on_block_request(const HsBlockRequest& req, ReplicaId from);
   void on_block_response(const HsBlockResponse& resp);
-  void on_state_response(const StateResponse& resp, ReplicaId from,
-                         std::uint64_t raw_bytes);
 
   // --- chain / safety ---------------------------------------------------
   /// Verifies a QC: distinct in-directory voters whose signatures cover
@@ -166,9 +171,11 @@ class HotStuff final : public OrderingProtocol {
   // --- proposing --------------------------------------------------------
   /// Proposes in round_ if this replica leads it, has not proposed in it
   /// yet, and holds the license to (a QC from the previous round or a
-  /// timeout quorum for this one). Returns true if a proposal (or a
-  /// deferred partial-batch cut) is in flight.
-  bool try_propose();
+  /// timeout quorum for this one). Fewer than batch_size eligible
+  /// requests arm the batch timer instead, unless `partial` (the timer's
+  /// own call): then any non-empty batch is cut. Returns true if a
+  /// proposal (or a deferred partial-batch cut) is in flight.
+  bool try_propose(bool partial = false);
   void propose(Batch batch);
   /// Request ids already carried by the uncommitted chain from high_qc_
   /// down (a new proposal must not repeat them).
@@ -190,9 +197,7 @@ class HotStuff final : public OrderingProtocol {
   /// keeps no timer, so drained runs terminate.
   void ensure_pacemaker();
   void round_expired();
-  void disarm_round_timer();
   void arm_batch_timer();
-  void disarm_batch_timer();
 
   void prune_blocks();
 
@@ -225,8 +230,8 @@ class HotStuff final : public OrderingProtocol {
 
   std::uint64_t timeouts_fired_ = 0;
   bool observed_disruption_ = false;
-  /// Current pacemaker backoff multiplier (1 after QC progress, grows by
-  /// pacemaker_backoff per expiry up to pacemaker_max_backoff).
+  /// Current pacemaker backoff multiplier (1 after QC progress, doubles
+  /// per expiry up to 64).
   double backoff_ = 1.0;
 
   /// Digests already asked for via HsBlockRequest (one ask per orphan).

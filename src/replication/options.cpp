@@ -23,8 +23,7 @@ const char* protocol_name(Protocol protocol) noexcept {
   return "?";
 }
 
-void validate_replica_options(const ReplicaOptions& options,
-                              Protocol protocol) {
+void validate_replica_options(const ReplicaOptions& options) {
   FINDEP_REQUIRE_MSG(options.request_timeout > 0.0,
                      "request_timeout must be positive");
   FINDEP_REQUIRE_MSG(options.view_change_timeout > 0.0,
@@ -36,28 +35,11 @@ void validate_replica_options(const ReplicaOptions& options,
   FINDEP_REQUIRE_MSG(options.batch_size >= 1, "batch_size must be >= 1");
   FINDEP_REQUIRE_MSG(options.batch_timeout > 0.0,
                      "batch_timeout must be positive");
-  if (protocol == Protocol::kPbft) {
-    FINDEP_REQUIRE_MSG(
-        options.batch_timeout < options.request_timeout,
-        "batch_timeout must stay strictly below request_timeout: a partial "
-        "batch waiting out a slower batch timer lets the backups' request "
-        "timers fire first, costing a spurious view change per lull");
-  } else {
-    FINDEP_REQUIRE_MSG(options.pacemaker_timeout > 0.0,
-                       "pacemaker_timeout must be positive");
-    FINDEP_REQUIRE_MSG(
-        options.pacemaker_backoff >= 1.0,
-        "pacemaker_backoff must be >= 1: a shrinking round timeout can "
-        "never re-establish synchrony after a stall");
-    FINDEP_REQUIRE_MSG(
-        options.pacemaker_max_backoff >= options.pacemaker_backoff,
-        "pacemaker_max_backoff must allow at least one backoff step");
-    FINDEP_REQUIRE_MSG(
-        options.batch_timeout < options.pacemaker_timeout,
-        "batch_timeout must stay strictly below pacemaker_timeout: a "
-        "partial batch waiting out a slower batch timer lets the round "
-        "timer fire first, costing a spurious leader rotation per lull");
-  }
+  FINDEP_REQUIRE_MSG(
+      options.batch_timeout < options.request_timeout,
+      "batch_timeout must stay strictly below request_timeout: a partial "
+      "batch waiting out a slower batch timer lets the liveness timers "
+      "fire first, costing a spurious leader change per lull");
   FINDEP_REQUIRE_MSG(options.state_transfer_grace > 0.0,
                      "state_transfer_grace must be positive");
   FINDEP_REQUIRE_MSG(options.state_transfer_timeout > 0.0,

@@ -3,9 +3,11 @@
 // Every ordering protocol (src/replication/pbft.h, hotstuff.h) is driven
 // by the same ReplicaOptions struct and the same validator — one set of
 // knobs, one place that rejects misconfigurations with a specific
-// message, regardless of which protocol the scenario axis selected.
-// Protocol-specific knobs (the HotStuff pacemaker) live here too so a
-// grid can flip `protocol=` without reshaping its option plumbing.
+// message, regardless of which protocol the scenario axis selected. The
+// knobs are protocol-neutral: request_timeout is the leader patience of
+// both lanes (PBFT's per-request deadline, HotStuff's base round timer),
+// so a grid flipping `protocol=` changes the ordering logic and nothing
+// else.
 #pragma once
 
 #include <cstddef>
@@ -45,8 +47,10 @@ enum class Protocol : std::uint8_t {
 [[nodiscard]] const char* protocol_name(Protocol protocol) noexcept;
 
 struct ReplicaOptions {
-  /// Seconds a known-but-unexecuted request may age before a PBFT
-  /// replica starts a view change.
+  /// Leader patience: seconds a known-but-unexecuted request may age
+  /// before a PBFT replica starts a view change, and the base round
+  /// timeout of the HotStuff pacemaker (armed only while the chain is
+  /// dirty, backed off exponentially per consecutive timeout).
   double request_timeout = 1.0;
   /// Patience for a new view to be installed before escalating further.
   double view_change_timeout = 1.5;
@@ -57,11 +61,10 @@ struct ReplicaOptions {
   /// seconds after the first queued request — whichever comes first.
   /// batch_size = 1 cuts on every request immediately and never arms the
   /// timer, which is behaviourally identical to the unbatched protocol.
-  /// batch_timeout must stay strictly below the protocol's liveness
-  /// timer (request_timeout for PBFT, pacemaker_timeout for HotStuff) —
-  /// a lone request waiting out a slower batch timer lets the liveness
-  /// timers fire first, costing a spurious leader change per light-load
-  /// lull. The validator rejects the misconfiguration outright.
+  /// batch_timeout must stay strictly below request_timeout — a lone
+  /// request waiting out a slower batch timer lets the liveness timers
+  /// fire first, costing a spurious leader change per light-load lull.
+  /// The validator rejects the misconfiguration outright.
   std::size_t batch_size = 1;
   double batch_timeout = 0.05;
   /// Checkpoint-anchored state transfer (off only for regression sweeps
@@ -83,16 +86,6 @@ struct ReplicaOptions {
   /// 2 * checkpoint_interval, or the bound would bite during the
   /// perfectly healthy execute-ahead-of-stability phase.
   std::uint64_t high_watermark_window = 128;
-  /// HotStuff pacemaker: base round timeout. Armed only while the chain
-  /// is dirty (pending requests or uncommitted real blocks), so an idle
-  /// cluster quiesces instead of spinning rounds forever.
-  double pacemaker_timeout = 1.0;
-  /// Exponential backoff multiplier applied per consecutive timeout
-  /// (reset on certified progress), and the cap on the accumulated
-  /// multiplier — round-robin rotation across a crashed leader pays the
-  /// base timeout once per lap instead of compounding forever.
-  double pacemaker_backoff = 2.0;
-  double pacemaker_max_backoff = 64.0;
   /// Seed of the replica-local RNG (random peer choice during state
   /// transfer). The cluster harness derives one per replica from the
   /// cluster seed.
@@ -114,10 +107,6 @@ struct ReplicaOptions {
 
 /// The one option validator both protocols share: rejects every
 /// misconfiguration with a specific message (support::ContractViolation).
-/// Protocol-specific checks (the PBFT batch-vs-request-timer race, the
-/// HotStuff pacemaker shape) are selected by `protocol`, so a grid
-/// flipping the protocol axis gets the right guardrails automatically.
-void validate_replica_options(const ReplicaOptions& options,
-                              Protocol protocol);
+void validate_replica_options(const ReplicaOptions& options);
 
 }  // namespace findep::replication

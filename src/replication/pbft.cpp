@@ -16,19 +16,14 @@ Pbft::Pbft(ReplicaId id, std::vector<double> weights,
            net::SimNetwork& network, ReplicaOptions options)
     : OrderingProtocol(id, std::move(weights), std::move(directory),
                        registry, std::move(keys), network,
-                       std::move(options), Protocol::kPbft) {}
+                       std::move(options)) {}
 
 // --- dispatch --------------------------------------------------------------
 
-double Pbft::verify_extra_cost(const Payload& payload) const {
-  // Quorum proofs ride one envelope and are batch-verified: a NEW-VIEW
-  // carries its view-change quorum, a state response its checkpoint vote
-  // quorum.
+double Pbft::proof_verify_cost(const Payload& payload) const {
+  // A NEW-VIEW carries its view-change quorum.
   if (const auto* nv = std::get_if<NewView>(&payload)) {
     return options().cost_model.batch_verify_seconds(nv->proofs.size());
-  }
-  if (const auto* resp = std::get_if<StateResponse>(&payload)) {
-    return options().cost_model.batch_verify_seconds(resp->proof.size());
   }
   return 0.0;
 }
@@ -58,93 +53,48 @@ runtime::WorkerPool::StaleCheck Pbft::verify_stale_check(
       payload);
 }
 
-void Pbft::dispatch_payload(const Envelope& env, net::NodeId raw_from,
-                            std::uint64_t raw_bytes) {
-  const bool from_replica = env.sender() < harness_.n();
+void Pbft::on_ordering(const Envelope& env) {
   std::visit(
       [&](const auto& m) {
         using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, Request>) {
-          on_request(m, raw_from);
-          return;
-        } else {
-          if (!from_replica) return;  // clients may only send requests
-          if constexpr (std::is_same_v<T, PrePrepare> ||
-                        std::is_same_v<T, Prepare> ||
-                        std::is_same_v<T, Commit>) {
-            if (m.view > view_) {
-              // We lag behind a view change; replay after installation.
-              future_messages_.push_back(env);
-              return;
-            }
+        if constexpr (std::is_same_v<T, PrePrepare> ||
+                      std::is_same_v<T, Prepare> ||
+                      std::is_same_v<T, Commit>) {
+          if (m.view > view_) {
+            // We lag behind a view change; replay after installation.
+            future_messages_.push_back(env);
+            return;
           }
-          if constexpr (std::is_same_v<T, PrePrepare>) {
-            on_preprepare(m, env.sender());
-          } else if constexpr (std::is_same_v<T, Prepare>) {
-            on_prepare(m, env.sender());
-          } else if constexpr (std::is_same_v<T, Commit>) {
-            on_commit(m, env.sender());
-          } else if constexpr (std::is_same_v<T, Checkpoint>) {
-            on_checkpoint(m, env.sender(), env.signature());
-          } else if constexpr (std::is_same_v<T, ViewChange>) {
-            on_viewchange(m, env.sender(), env.signature());
-          } else if constexpr (std::is_same_v<T, NewView>) {
-            on_newview(m, env.sender());
-          } else if constexpr (std::is_same_v<T, StateRequest>) {
-            tail_.on_state_request(m, env.sender(), last_new_view_);
-          } else if constexpr (std::is_same_v<T, StateResponse>) {
-            on_state_response(m, env.sender(), raw_bytes);
-          }
-          // HotStuff payloads fall through: a PBFT replica ignores the
-          // other lane's traffic entirely.
         }
+        if constexpr (std::is_same_v<T, PrePrepare>) {
+          on_preprepare(m, env.sender());
+        } else if constexpr (std::is_same_v<T, Prepare>) {
+          on_prepare(m, env.sender());
+        } else if constexpr (std::is_same_v<T, Commit>) {
+          on_commit(m, env.sender());
+        } else if constexpr (std::is_same_v<T, ViewChange>) {
+          on_viewchange(m, env.sender(), env.signature());
+        } else if constexpr (std::is_same_v<T, NewView>) {
+          on_newview(m, env.sender());
+        }
+        // HotStuff payloads fall through: a PBFT replica ignores the
+        // other lane's traffic entirely.
       },
       env.payload());
 }
 
 void Pbft::replay_future_messages() {
+  // Only normal-case messages are buffered; on_ordering re-buffers those
+  // still ahead of the installed view.
   std::vector<Envelope> replay;
   replay.swap(future_messages_);
-  for (Envelope& env : replay) {
-    std::visit(
-        [&](const auto& m) {
-          using T = std::decay_t<decltype(m)>;
-          if constexpr (std::is_same_v<T, PrePrepare> ||
-                        std::is_same_v<T, Prepare> ||
-                        std::is_same_v<T, Commit>) {
-            if (m.view > view_) {
-              future_messages_.push_back(env);
-              return;
-            }
-            if constexpr (std::is_same_v<T, PrePrepare>) {
-              on_preprepare(m, env.sender());
-            } else if constexpr (std::is_same_v<T, Prepare>) {
-              on_prepare(m, env.sender());
-            } else {
-              on_commit(m, env.sender());
-            }
-          }
-        },
-        env.payload());
-  }
+  for (const Envelope& env : replay) on_ordering(env);
 }
 
 // --- normal case ----------------------------------------------------------
 
-void Pbft::submit(const Request& request) {
-  if (options().behavior == Behavior::kSilent) return;
-  on_request(request, id());
-}
-
-void Pbft::on_request(const Request& request, net::NodeId from) {
-  if (tail_.has_executed(request.id)) return;
-  if (options().behavior == Behavior::kCensor && (request.id & 1) != 0) {
-    return;  // client-selective starvation: odd-id requests vanish here
-  }
-  if (!tail_.pending().contains(request.id)) {
-    track_request_deadline(request.id);
-  }
-  tail_.pending()[request.id] = request;
+void Pbft::on_request(const Request& request, net::NodeId from, bool fresh) {
+  if (fresh) track_request_deadline(request.id);
   arm_request_timer();
   if (in_view_change_) return;
   if (is_primary()) {
@@ -175,7 +125,7 @@ void Pbft::enqueue_for_proposal(const Request& request) {
 }
 
 void Pbft::cut_batch() {
-  disarm_batch_timer();
+  sim().cancel(batch_timer_);
   if (batch_queue_.empty()) return;
   if (next_seq_ > stable_checkpoint() + options().high_watermark_window) {
     // High-watermark back-pressure: the queue holds the batch until the
@@ -213,32 +163,17 @@ void Pbft::propose(Batch batch) {
 
   if (options().behavior == Behavior::kEquivocate ||
       options().behavior == Behavior::kCollude) {
-    // Conflicting proposals: the real batch to the first half, a
-    // fabricated one (every request forged) to the second half. A lone
-    // equivocator is harmless — neither half can reach a prepared
-    // certificate for a conflicting pair, because commit weight only
-    // comes from replicas that prepared that digest. A *colluding*
-    // primary additionally throws its own prepare + commit weight behind
-    // both digests (and colluding backups endorse whatever they hear),
-    // which is what makes conflicting certificates reachable once
-    // colluding power exceeds a third.
-    Batch forged_batch;
-    forged_batch.requests.reserve(batch.size());
-    for (const Request& r : batch.requests) {
-      Request forged = r;
-      forged.id ^= 0x8000000000000000ULL;
-      forged.operation = crypto::Sha256{}
-                             .update("findep/forged/v1")
-                             .update(r.operation.bytes)
-                             .finish();
-      forged_batch.requests.push_back(forged);
-    }
+    // Conflicting proposals: the real batch to the even half, its forged
+    // twin to the odd half. A lone equivocator is harmless — neither half
+    // can reach a prepared certificate for a conflicting pair, because
+    // commit weight only comes from replicas that prepared that digest. A
+    // *colluding* primary additionally throws its own prepare + commit
+    // weight behind both digests (and colluding backups endorse whatever
+    // they hear), which is what makes conflicting certificates reachable
+    // once colluding power exceeds a third.
     const PrePrepare real{view_, seq, std::move(batch)};
-    const PrePrepare fake{view_, seq, std::move(forged_batch)};
-    for (ReplicaId r = 0; r < harness_.n(); ++r) {
-      if (r == id()) continue;
-      send_to(r, r % 2 == 0 ? Payload{real} : Payload{fake});
-    }
+    const PrePrepare fake{view_, seq, bft::forged(real.batch)};
+    send_split(real, fake);
     if (options().behavior == Behavior::kCollude) {
       collude_endorse(view_, seq, real.batch.digest());
       collude_endorse(view_, seq, fake.batch.digest());
@@ -286,8 +221,7 @@ void Pbft::accept_preprepare(const PrePrepare& pp) {
   bool tracked = false;
   for (const Request& r : slot.batch.requests) {
     if (r.id != 0 && !tail_.has_executed(r.id)) {
-      if (!tail_.pending().contains(r.id)) track_request_deadline(r.id);
-      tail_.pending()[r.id] = r;
+      if (tail_.admit(r)) track_request_deadline(r.id);
       tracked = true;
     }
   }
@@ -374,7 +308,7 @@ void Pbft::execute_ready() {
   }
   if (tail_.pending().empty()) {
     // Fully drained: drop the timer and the (all-dead) deadline queue.
-    disarm_request_timer();
+    sim().cancel(request_timer_);
     request_deadlines_.clear();
   }
   // Otherwise the armed timer stays put. Each request carries its own
@@ -387,9 +321,7 @@ void Pbft::execute_ready() {
   tail_.maybe_checkpoint();
 }
 
-void Pbft::on_checkpoint(const Checkpoint& cp, ReplicaId from,
-                         const crypto::Signature& signature) {
-  if (!tail_.on_checkpoint(cp, from, signature)) return;
+void Pbft::on_checkpoint_stable() {
   // Prune consensus state at and below the stable checkpoint — but never
   // above our own execution horizon: a replica that lags behind a remote
   // checkpoint keeps its in-flight slots and can still finish them from
@@ -466,15 +398,8 @@ void Pbft::request_timer_fired() {
   arm_request_timer();
 }
 
-void Pbft::disarm_request_timer() {
-  if (request_timer_.has_value()) {
-    sim().cancel(*request_timer_);
-    request_timer_.reset();
-  }
-}
-
 void Pbft::arm_viewchange_timer(View target) {
-  disarm_viewchange_timer();
+  sim().cancel(viewchange_timer_);
   viewchange_timer_ = sim().schedule_after(
       options().view_change_timeout, [this, target] {
         viewchange_timer_.reset();
@@ -482,13 +407,6 @@ void Pbft::arm_viewchange_timer(View target) {
           start_view_change(target + 1);  // new primary also failed
         }
       });
-}
-
-void Pbft::disarm_viewchange_timer() {
-  if (viewchange_timer_.has_value()) {
-    sim().cancel(*viewchange_timer_);
-    viewchange_timer_.reset();
-  }
 }
 
 void Pbft::arm_batch_timer() {
@@ -501,13 +419,6 @@ void Pbft::arm_batch_timer() {
   });
 }
 
-void Pbft::disarm_batch_timer() {
-  if (batch_timer_.has_value()) {
-    sim().cancel(*batch_timer_);
-    batch_timer_.reset();
-  }
-}
-
 // --- view change -------------------------------------------------------
 
 void Pbft::start_view_change(View target) {
@@ -516,8 +427,8 @@ void Pbft::start_view_change(View target) {
   in_view_change_ = true;
   pending_view_ = target;
   ++view_changes_started_;
-  disarm_request_timer();
-  disarm_batch_timer();
+  sim().cancel(request_timer_);
+  sim().cancel(batch_timer_);
 
   std::vector<PreparedEntry> prepared;
   for (const auto& [seq, slot] : slots_) {
@@ -650,7 +561,7 @@ void Pbft::install_new_view(const NewView& nv) {
   in_view_change_ = false;
   pending_view_ = nv.view;
   last_new_view_ = nv;
-  disarm_viewchange_timer();
+  sim().cancel(viewchange_timer_);
   viewchange_votes_.erase(viewchange_votes_.begin(),
                           viewchange_votes_.upper_bound(nv.view));
   // The proofs are signed claims of their senders' stable checkpoints;
@@ -676,7 +587,7 @@ void Pbft::install_new_view(const NewView& nv) {
   assigned_.clear();
   // The old view's batch queue is void: its requests are still in
   // pending() and get re-driven below, through the new primary.
-  disarm_batch_timer();
+  sim().cancel(batch_timer_);
   batch_queue_.clear();
   queued_ids_.clear();
   cut_deferred_ = false;  // nothing queued, nothing deferred
@@ -685,17 +596,8 @@ void Pbft::install_new_view(const NewView& nv) {
   replay_future_messages();
 
   // Re-drive pending client requests in the new view, in request-id
-  // order: the hash map's iteration order would otherwise decide how
-  // requests pack into the new primary's batches — and with it every
-  // downstream proposal, message and byte count.
-  std::vector<const Request*> redrive;
-  redrive.reserve(tail_.pending().size());
-  // findep-lint: allow(unordered-iteration) -- collect-only walk; sorted by request id below before anything order-sensitive happens
-  for (const auto& [rid, request] : tail_.pending()) {
-    redrive.push_back(&request);
-  }
-  std::sort(redrive.begin(), redrive.end(),
-            [](const Request* a, const Request* b) { return a->id < b->id; });
+  // order, so the new primary's batches pack identically everywhere.
+  const std::vector<const Request*> redrive = tail_.pending_by_id();
   if (is_primary()) {
     for (const Request* request : redrive) {
       enqueue_for_proposal(*request);
@@ -715,9 +617,7 @@ void Pbft::install_new_view(const NewView& nv) {
 
 // --- state transfer --------------------------------------------------------
 
-void Pbft::on_state_response(const StateResponse& resp, ReplicaId from,
-                             std::uint64_t raw_bytes) {
-  if (!tail_.on_state_response(resp, from, raw_bytes)) return;
+void Pbft::on_state_adopted(const StateResponse& resp) {
   prune_slots(last_executed());
 
   if (resp.new_view.has_value() && resp.new_view->view > view_ &&
@@ -735,9 +635,9 @@ void Pbft::on_state_response(const StateResponse& resp, ReplicaId from,
       // are still starved the request timer below re-escalates.
       in_view_change_ = false;
       pending_view_ = view_;
-      disarm_viewchange_timer();
+      sim().cancel(viewchange_timer_);
     }
-    disarm_request_timer();  // the adoption itself is execution progress
+    sim().cancel(request_timer_);  // the adoption itself is execution progress
     execute_ready();
     replay_future_messages();
     // Catching up across the outage is cluster-wide progress for every

@@ -22,9 +22,10 @@
 //                 safety threshold of the paper — whereas any weaker
 //                 coalition (and any number of plain equivocators)
 //                 cannot.
-//   kCensor     — as primary, silently ignores requests with odd ids
-//                 (a client-selective starvation attack: the cluster
-//                 keeps making progress on everything else).
+//   kCensor     — silently drops requests with odd ids at ingress (a
+//                 client-selective starvation attack: the cluster keeps
+//                 making progress on everything else). The drop is the
+//                 shared OrderingProtocol admission step.
 //
 // Checkpoint-anchored state transfer (DESIGN.md "State transfer"): a
 // replica that observes credible evidence of committed state above its
@@ -32,11 +33,13 @@
 // > 1/3 of voting power claiming checkpoints it has not executed —
 // fetches the missing log suffix from a random up-to-date peer, verifies
 // the checkpoint digest against the signed vote quorum carried in the
-// response, and resumes normal execution. The executed log, checkpoint
-// votes and the fetch machine live in the ExecutionTail
-// (replication/tail.h), shared with every other protocol; PBFT keeps
-// only its post-adoption step (slot pruning, NEW-VIEW installation,
-// abandoning a lone view change).
+// response, and resumes normal execution. Request admission, the
+// executed log, checkpoint votes and the fetch machine live in
+// OrderingProtocol and the ExecutionTail (replication/tail.h), shared
+// with every other protocol; PBFT keeps its cut queue, per-request
+// deadlines and view change, plus its post-checkpoint and post-adoption
+// steps (slot pruning, the deferred-cut retry, NEW-VIEW installation,
+// abandoning a lone view change) and the NEW-VIEW it relays.
 #pragma once
 
 #include <deque>
@@ -62,10 +65,6 @@ class Pbft final : public OrderingProtocol {
        std::vector<crypto::PublicKey> directory,
        crypto::KeyRegistry& registry, crypto::KeyPair keys,
        net::SimNetwork& network, ReplicaOptions options);
-
-  /// Client entry point: hands a request to this replica (it forwards to
-  /// the primary if needed and arms the liveness timer).
-  void submit(const Request& request) override;
 
   [[nodiscard]] View view() const noexcept { return view_; }
   [[nodiscard]] std::uint64_t view_changes_started() const noexcept {
@@ -97,11 +96,7 @@ class Pbft final : public OrderingProtocol {
   [[nodiscard]] static Batch noop_batch();
 
   // --- harness → protocol ----------------------------------------------
-  void dispatch_payload(const Envelope& env, net::NodeId raw_from,
-                        std::uint64_t raw_bytes) override;
   [[nodiscard]] runtime::WorkerPool::StaleCheck verify_stale_check(
-      const Payload& payload) const override;
-  [[nodiscard]] double verify_extra_cost(
       const Payload& payload) const override;
 
  private:
@@ -122,18 +117,29 @@ class Pbft final : public OrderingProtocol {
     bool committed = false;
   };
 
+  // --- lane hooks -------------------------------------------------------
+  [[nodiscard]] double proof_verify_cost(
+      const Payload& payload) const override;
+  /// Tracks the request's deadline, arms the liveness timer, and queues
+  /// it for proposal (primary) or relays it to the primary (backup).
+  void on_request(const Request& request, net::NodeId from,
+                  bool fresh) override;
+  /// Routes normal-case and view-change traffic; normal-case messages
+  /// for a view not installed yet are buffered for replay.
+  void on_ordering(const Envelope& env) override;
+  void on_checkpoint_stable() override;
+  void on_state_adopted(const StateResponse& resp) override;
+  [[nodiscard]] std::optional<NewView> relayed_new_view() const override {
+    return last_new_view_;
+  }
+
   // --- dispatch ---------------------------------------------------------
-  void on_request(const Request& request, net::NodeId from);
   void on_preprepare(const PrePrepare& pp, ReplicaId from);
   void on_prepare(const Prepare& p, ReplicaId from);
   void on_commit(const Commit& c, ReplicaId from);
-  void on_checkpoint(const Checkpoint& cp, ReplicaId from,
-                     const crypto::Signature& signature);
   void on_viewchange(const ViewChange& vc, ReplicaId from,
                      const crypto::Signature& signature);
   void on_newview(const NewView& nv, ReplicaId from);
-  void on_state_response(const StateResponse& resp, ReplicaId from,
-                         std::uint64_t raw_bytes);
 
   // --- normal case ------------------------------------------------------
   void enqueue_for_proposal(const Request& request);
@@ -172,14 +178,11 @@ class Pbft final : public OrderingProtocol {
   /// fresh timeout, as the single-timer design did).
   void refresh_request_deadlines();
   void arm_request_timer();
-  void disarm_request_timer();
   void request_timer_fired();
   /// kCollude: endorse (prepare + commit) a digest we heard of, once.
   void collude_endorse(View v, SeqNum seq, const crypto::Digest& digest);
   void arm_viewchange_timer(View target);
-  void disarm_viewchange_timer();
   void arm_batch_timer();
-  void disarm_batch_timer();
 
   View view_ = 0;
   bool in_view_change_ = false;

@@ -1,30 +1,35 @@
 // OrderingProtocol: the seam between the protocol-neutral NodeHarness
 // below and a concrete ordering protocol above.
 //
-// A protocol implements exactly three inbound hooks — dispatch_payload
-// (an authenticated envelope), verify_stale_check (may this payload be
-// shed from the verify queue?), verify_extra_cost (quorum proofs riding
-// the envelope, batch-verified) — plus submit() for client ingress, and
-// drives everything else through the harness' broadcast()/send_to() and
-// simulator timers. Below the ordering logic sits the ExecutionTail
-// (replication/tail.h) every protocol shares: the executed log,
-// checkpoints and state transfer, so the log/transfer observables are
-// plain accessors here. The observable surface below is what the
-// cluster harness, scenario metrics and campaign outcome classifier
-// read, so a new protocol plugs into every existing experiment by
-// implementing the few that stay virtual.
+// The base owns every inbound path that does not depend on how requests
+// are ordered: client ingress (submit(), the executed-id dedup, the
+// kCensor odd-id drop and admission to the tail's pending set),
+// refusing non-Request traffic from clients, and the durability traffic
+// (Checkpoint, StateRequest, StateResponse) it routes to the
+// ExecutionTail (replication/tail.h) — the executed log, checkpoints and
+// state transfer every protocol shares, so the log/transfer observables
+// are plain accessors here. A lane keeps only its ordering logic: it
+// implements on_request (an admitted request), on_ordering (its own
+// consensus traffic), and the post-durability hooks below, plus the
+// verify-pool hooks verify_stale_check / proof_verify_cost; it sends
+// through the harness' broadcast()/send_to()/send_split() and arms
+// simulator timers. The observable surface below is what the cluster
+// harness, scenario metrics and campaign outcome classifier read, so a
+// new protocol plugs into every existing experiment by implementing the
+// few that stay virtual.
 //
 // To add a third protocol (e.g. an attestation-backed MinBFT using
-// src/attest/ trusted counters): derive from OrderingProtocol, hand each
-// committed batch to tail_.execute() and route Checkpoint/StateRequest/
-// StateResponse payloads to the tail, add its wire messages to
-// bft::Payload, and register the axis value in parse_protocol + the
-// cluster factory. Nothing in the harness, the tail or the scenario
-// plumbing changes.
+// src/attest/ trusted counters): derive from OrderingProtocol, implement
+// the lane hooks, hand each committed batch to tail_.execute(), add its
+// wire messages to bft::Payload, and register the axis value in
+// parse_protocol + the cluster factory. Nothing in the harness, the tail
+// or the scenario plumbing changes.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "bft/messages.h"
@@ -66,16 +71,22 @@ class OrderingProtocol {
 
   /// Attaches the network handler. Call once before the simulation runs.
   void start() { harness_.start(); }
-  /// Client entry point: hands a request to this replica.
-  virtual void submit(const Request& request) = 0;
+  /// Client entry point: hands a request to this replica (a silent
+  /// replica ignores it).
+  void submit(const Request& request) {
+    if (behavior() == Behavior::kSilent) return;
+    admit(request, id());
+  }
 
   // --- harness → protocol ----------------------------------------------
-  /// The post-authentication half of message receipt: routes the payload
-  /// to its handler. Reached through the inline crypto=free path and the
+  /// The post-authentication half of message receipt: admits requests,
+  /// drops anything else a client sent, serves checkpoints and state
+  /// transfer through the tail, and hands the rest to the lane's
+  /// on_ordering. Reached through the inline crypto=free path and the
   /// worker-pool completion path alike, so offloading cannot drift from
   /// the inline dispatch semantics.
-  virtual void dispatch_payload(const Envelope& env, net::NodeId raw_from,
-                                std::uint64_t raw_bytes) = 0;
+  void dispatch_payload(const Envelope& env, net::NodeId raw_from,
+                        std::uint64_t raw_bytes);
   /// Stale predicate for a verify-pool task carrying `payload`, or null
   /// when the payload class never goes stale.
   [[nodiscard]] virtual runtime::WorkerPool::StaleCheck verify_stale_check(
@@ -84,11 +95,14 @@ class OrderingProtocol {
     return nullptr;
   }
   /// Modeled verify cost beyond the envelope signature itself: quorum
-  /// proofs embedded in `payload`, batch-verified in one pool task.
-  [[nodiscard]] virtual double verify_extra_cost(
-      const Payload& payload) const {
-    (void)payload;
-    return 0.0;
+  /// proofs embedded in `payload`, batch-verified in one pool task — a
+  /// state response's checkpoint vote quorum here, the lane's own
+  /// certificates through proof_verify_cost.
+  [[nodiscard]] double verify_extra_cost(const Payload& payload) const {
+    if (const auto* resp = std::get_if<StateResponse>(&payload)) {
+      return options().cost_model.batch_verify_seconds(resp->proof.size());
+    }
+    return proof_verify_cost(payload);
   }
 
   // --- protocol-neutral observables ------------------------------------
@@ -176,12 +190,33 @@ class OrderingProtocol {
   OrderingProtocol(ReplicaId id, std::vector<double> weights,
                    std::vector<crypto::PublicKey> directory,
                    crypto::KeyRegistry& registry, crypto::KeyPair keys,
-                   net::SimNetwork& network, ReplicaOptions options,
-                   Protocol kind)
+                   net::SimNetwork& network, ReplicaOptions options)
       : harness_(*this, id, std::move(weights), std::move(directory),
-                 registry, std::move(keys), network, std::move(options),
-                 kind),
+                 registry, std::move(keys), network, std::move(options)),
         tail_(harness_) {}
+
+  // --- lane hooks ------------------------------------------------------
+  /// Modeled batch-verify cost of the lane's own certificates riding
+  /// `payload` (0 when it carries none).
+  [[nodiscard]] virtual double proof_verify_cost(
+      const Payload& payload) const = 0;
+  /// A request passed admission and sits in tail_.pending(); `fresh` is
+  /// false for a retransmission of one already pending. `from` is the
+  /// raw sender: a client, a relaying replica, or id() for submit().
+  virtual void on_request(const Request& request, net::NodeId from,
+                          bool fresh) = 0;
+  /// The lane's own consensus traffic from a replica (anything but
+  /// requests, checkpoints and state transfer).
+  virtual void on_ordering(const Envelope& env) = 0;
+  /// The stable checkpoint advanced: prune consensus state below it.
+  virtual void on_checkpoint_stable() = 0;
+  /// `resp` was verified and adopted: the lane's post-adoption step.
+  virtual void on_state_adopted(const StateResponse& resp) = 0;
+  /// The view-change artifact worth relaying inside a state response
+  /// (PBFT's NEW-VIEW), if any.
+  [[nodiscard]] virtual std::optional<NewView> relayed_new_view() const {
+    return std::nullopt;
+  }
 
   // --- harness forwarders for the protocol code ------------------------
   [[nodiscard]] const ReplicaOptions& options() const noexcept {
@@ -193,6 +228,9 @@ class OrderingProtocol {
   void broadcast(Payload payload) { harness_.broadcast(std::move(payload)); }
   void send_to(net::NodeId to, Payload payload) {
     harness_.send_to(to, std::move(payload));
+  }
+  void send_split(Payload even, Payload odd) {
+    harness_.send_split(std::move(even), std::move(odd));
   }
   [[nodiscard]] double weight_of(ReplicaId r) const {
     return harness_.weight_of(r);
@@ -206,6 +244,11 @@ class OrderingProtocol {
 
   NodeHarness harness_;
   ExecutionTail tail_;
+
+ private:
+  /// Request ingress: drops executed ids and, under kCensor, odd ids;
+  /// admits the rest to the tail and hands them to on_request.
+  void admit(const Request& request, net::NodeId from);
 };
 
 }  // namespace findep::replication

@@ -1,5 +1,7 @@
 #include "replication/tail.h"
 
+#include <algorithm>
+
 namespace findep::replication {
 
 ExecutionTail::ExecutionTail(NodeHarness& harness)
@@ -28,6 +30,18 @@ void ExecutionTail::execute(bft::SeqNum seq, const bft::Batch& batch) {
     }
     append(bft::ExecutedEntry{seq, r});
   }
+}
+
+std::vector<const bft::Request*> ExecutionTail::pending_by_id() const {
+  std::vector<const bft::Request*> out;
+  out.reserve(pending_.size());
+  // findep-lint: allow(unordered-iteration) -- collect-only walk; sorted by request id below before anything order-sensitive happens
+  for (const auto& [rid, request] : pending_) out.push_back(&request);
+  std::sort(out.begin(), out.end(),
+            [](const bft::Request* a, const bft::Request* b) {
+              return a->id < b->id;
+            });
+  return out;
 }
 
 crypto::Digest ExecutionTail::state_digest_with(

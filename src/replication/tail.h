@@ -78,15 +78,20 @@ class ExecutionTail {
                                        bft::ReplicaId from,
                                        std::uint64_t raw_bytes);
 
-  /// Requests accepted but not yet executed, by request id.
-  [[nodiscard]] std::unordered_map<std::uint64_t, bft::Request>& pending()
-      noexcept {
-    return pending_;
+  /// Adds `request` to the pending set (a retransmitted copy replaces
+  /// the held one). Returns true when it was not pending before.
+  bool admit(const bft::Request& request) {
+    return pending_.insert_or_assign(request.id, request).second;
   }
+  /// Requests accepted but not yet executed, by request id.
   [[nodiscard]] const std::unordered_map<std::uint64_t, bft::Request>&
   pending() const noexcept {
     return pending_;
   }
+  /// The pending requests in request-id order: the one deterministic
+  /// walk of the pending set (its hash order must never decide how
+  /// requests pack into batches or relays).
+  [[nodiscard]] std::vector<const bft::Request*> pending_by_id() const;
   /// True once request `id` executed here (never for the id-0 noop).
   [[nodiscard]] bool has_executed(std::uint64_t id) const {
     return executed_ids_.contains(id);

@@ -30,6 +30,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -105,6 +106,13 @@ class Simulator {
   /// already cancelled, or never existed. O(1), and the cancelled
   /// callback (with everything it captured) is destroyed immediately.
   bool cancel(EventId id);
+  /// Disarms a timer handle: cancels the event it holds, if any, and
+  /// clears it.
+  void cancel(std::optional<EventId>& timer) {
+    if (!timer.has_value()) return;
+    cancel(*timer);
+    timer.reset();
+  }
 
   [[nodiscard]] Time now() const noexcept { return now_; }
   [[nodiscard]] bool has_pending() const noexcept { return live_ != 0; }

@@ -2,6 +2,11 @@
 // quorums, checkpointing. Safety is asserted via log prefix-consistency.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <variant>
+#include <vector>
+
 #include "bft/cluster.h"
 #include "support/assert.h"
 
@@ -76,6 +81,61 @@ TEST(Bft, EquivocatingPrimaryCannotViolateSafety) {
   // Progress resumes after the view change evicts the equivocator.
   EXPECT_TRUE(cluster.run_until_executed(3, 90.0));
   EXPECT_TRUE(cluster.logs_consistent());
+}
+
+TEST(Bft, ForgedTwinFlipsEveryIdAndChangesTheDigest) {
+  Batch batch;
+  for (const std::uint64_t id : {1ULL, 2ULL, 0x42ULL}) {
+    batch.requests.push_back(
+        Request{id, crypto::sha256("op" + std::to_string(id))});
+  }
+  const Batch twin = forged(batch);
+  ASSERT_EQ(twin.size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(twin.requests[i].id,
+              batch.requests[i].id ^ 0x8000000000000000ULL);
+    EXPECT_NE(twin.requests[i].operation, batch.requests[i].operation);
+  }
+  EXPECT_NE(twin.digest(), batch.digest());
+  EXPECT_EQ(forged(batch), twin);  // deterministic: every replica agrees
+  EXPECT_TRUE(forged(Batch{}).empty());
+}
+
+TEST(Bft, EquivocatorSignsEachConflictingProposalOnce) {
+  // An equivocating primary in n=5 splits its proposal: one signed body
+  // shared by the even peers {2, 4}, its forged twin shared by the odd
+  // peers {1, 3}, and nothing to itself. The backups are replaced by
+  // recorders, so the primary's split is the only replica traffic.
+  std::vector<Behavior> behaviors(5, Behavior::kHonest);
+  behaviors[0] = Behavior::kEquivocate;
+  BftCluster cluster(5, fast_options(9), behaviors);
+  std::map<net::NodeId, std::vector<net::Envelope>> proposals;
+  for (net::NodeId peer = 1; peer < 5; ++peer) {
+    cluster.network().attach(peer, [&proposals, peer](const net::Message& m) {
+      const Envelope* env = m.envelope.get<Envelope>();
+      if (env != nullptr &&
+          std::holds_alternative<PrePrepare>(env->payload())) {
+        proposals[peer].push_back(m.envelope);
+      }
+    });
+  }
+  cluster.submit();
+  // Stop well before the primary's request timer (0.8 s) fires.
+  cluster.simulator().run_until(0.3);
+
+  for (net::NodeId peer = 1; peer < 5; ++peer) {
+    ASSERT_EQ(proposals[peer].size(), 1u) << "peer " << peer;
+  }
+  const Envelope* even = proposals[2][0].get<Envelope>();
+  const Envelope* odd = proposals[1][0].get<Envelope>();
+  EXPECT_EQ(proposals[4][0].get<Envelope>(), even);  // one shared body
+  EXPECT_EQ(proposals[3][0].get<Envelope>(), odd);
+  EXPECT_NE(even, odd);
+  EXPECT_EQ(forged(std::get<PrePrepare>(even->payload()).batch),
+            std::get<PrePrepare>(odd->payload()).batch);
+  // The client's broadcast reaches the 5 replicas; the split adds one
+  // send per peer and none to the primary itself.
+  EXPECT_EQ(cluster.network().stats().messages_sent, 5u + 4u);
 }
 
 TEST(Bft, TwoSilentInSevenTolerated) {

@@ -3,6 +3,9 @@
 // and recovery dynamics beyond the happy paths of test_bft.cpp.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "bft/cluster.h"
 #include "support/assert.h"
 
@@ -462,6 +465,51 @@ TEST(BftAdversarial, LossyNetworkQuorumStillCommits) {
   EXPECT_GE(replicas_at(cluster, 3), 2u);
   EXPECT_TRUE(cluster.logs_consistent());
 }
+
+// Ingress attacks run through the admission step both ordering lanes
+// share, so they are checked on both.
+class BftAdversarialLanes
+    : public ::testing::TestWithParam<replication::Protocol> {};
+
+TEST_P(BftAdversarialLanes, CensoringLeaderStillCommitsOddIds) {
+  // The first leader (PBFT's view-0 primary, HotStuff's round-1 leader)
+  // drops every odd-id request at ingress. The honest replicas hold the
+  // censored requests, so the cluster must still commit all of them —
+  // and every honest log must carry each odd id.
+  const bool pbft = GetParam() == replication::Protocol::kPbft;
+  const std::size_t censor = pbft ? 0 : 1;
+  std::vector<Behavior> behaviors(4, Behavior::kHonest);
+  behaviors[censor] = Behavior::kCensor;
+  ClusterOptions opt = fast_options(36);
+  opt.protocol = GetParam();
+  BftCluster cluster(4, opt, behaviors);
+  const std::uint64_t submitted = 8;
+  for (std::uint64_t i = 0; i < submitted / 2; ++i) {
+    cluster.submit();
+    cluster.submit();
+    cluster.run_for(0.5);
+  }
+  ASSERT_TRUE(cluster.run_until_executed(submitted, 60.0));
+  EXPECT_TRUE(cluster.logs_consistent());
+  for (std::size_t r = 0; r < cluster.size(); ++r) {
+    if (r == censor) continue;
+    std::set<std::uint64_t> ids;
+    for (const ExecutedEntry& e : cluster.node(r).executed()) {
+      ids.insert(e.request.id);
+    }
+    for (std::uint64_t id = 1; id <= submitted; id += 2) {
+      EXPECT_TRUE(ids.contains(id)) << "replica " << r << " id " << id;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Protocols, BftAdversarialLanes,
+    ::testing::Values(replication::Protocol::kPbft,
+                      replication::Protocol::kHotStuff),
+    [](const ::testing::TestParamInfo<replication::Protocol>& info) {
+      return std::string(replication::protocol_name(info.param));
+    });
 
 }  // namespace
 }  // namespace findep::bft

@@ -17,7 +17,7 @@ ClusterOptions fast_options(std::uint64_t seed = 1) {
   ClusterOptions opt;
   opt.network.min_latency = 0.005;
   opt.network.mean_extra_latency = 0.01;
-  opt.replica.pacemaker_timeout = 0.5;
+  opt.replica.request_timeout = 0.5;
   opt.replica.batch_timeout = 0.05;
   opt.protocol = replication::Protocol::kHotStuff;
   opt.seed = seed;

@@ -1,7 +1,6 @@
 // The shared ReplicaOptions validator and the protocol axis parser: one
-// validator serves both ordering protocols, selecting the right
-// guardrails per protocol and rejecting each misconfiguration with a
-// specific message.
+// protocol-free validator serves both ordering protocols, rejecting each
+// misconfiguration with a specific message.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -15,9 +14,9 @@ namespace {
 
 /// Runs the validator and returns the ContractViolation message ("" when
 /// the options validate).
-std::string violation(const ReplicaOptions& options, Protocol protocol) {
+std::string violation(const ReplicaOptions& options) {
   try {
-    validate_replica_options(options, protocol);
+    validate_replica_options(options);
     return "";
   } catch (const support::ContractViolation& e) {
     return e.what();
@@ -41,54 +40,26 @@ TEST(ProtocolAxis, RejectsUnknownProtocolWithSpecificMessage) {
   }
 }
 
-TEST(ReplicaOptionsValidator, DefaultsValidateForBothProtocols) {
-  const ReplicaOptions options;
-  EXPECT_EQ(violation(options, Protocol::kPbft), "");
-  EXPECT_EQ(violation(options, Protocol::kHotStuff), "");
-}
-
-TEST(ReplicaOptionsValidator, RejectsShrinkingPacemakerBackoff) {
-  ReplicaOptions options;
-  options.pacemaker_backoff = 0.5;
-  // PBFT ignores the pacemaker knobs entirely; HotStuff rejects them
-  // with the why-it-matters message.
-  EXPECT_EQ(violation(options, Protocol::kPbft), "");
-  EXPECT_NE(violation(options, Protocol::kHotStuff).find(
-                "pacemaker_backoff must be >= 1"),
-            std::string::npos);
-  EXPECT_NE(violation(options, Protocol::kHotStuff).find(
-                "shrinking round timeout"),
-            std::string::npos);
+TEST(ReplicaOptionsValidator, DefaultsValidate) {
+  EXPECT_EQ(violation(ReplicaOptions{}), "");
 }
 
 TEST(ReplicaOptionsValidator, BatchTimerMustUndercutTheLivenessTimer) {
-  // The same misconfiguration trips a different guardrail per protocol:
-  // the batch cut must land before whatever timer triggers a leader
-  // change — PBFT's request timer, HotStuff's round timer.
+  // The batch cut must land before the timer that triggers a leader
+  // change — request_timeout, PBFT's request deadline and HotStuff's
+  // base round timeout alike.
   ReplicaOptions options;
   options.request_timeout = 1.0;
-  options.pacemaker_timeout = 2.0;
-  options.batch_timeout = 1.5;  // above request_timeout, below pacemaker
-  EXPECT_NE(violation(options, Protocol::kPbft).find(
+  options.batch_timeout = 1.5;
+  EXPECT_NE(violation(options).find(
                 "batch_timeout must stay strictly below request_timeout"),
             std::string::npos);
-  EXPECT_EQ(violation(options, Protocol::kHotStuff), "");
-
-  options.batch_timeout = 2.5;  // now above the round timer too
-  EXPECT_NE(violation(options, Protocol::kHotStuff).find(
-                "batch_timeout must stay strictly below pacemaker_timeout"),
+  options.batch_timeout = 1.0;  // a tie still loses the race
+  EXPECT_NE(violation(options).find(
+                "batch_timeout must stay strictly below request_timeout"),
             std::string::npos);
-}
-
-TEST(ReplicaOptionsValidator, RejectsBackoffCapBelowOneStep) {
-  ReplicaOptions options;
-  options.pacemaker_backoff = 4.0;
-  options.pacemaker_max_backoff = 2.0;
-  EXPECT_EQ(violation(options, Protocol::kPbft), "");
-  EXPECT_NE(violation(options, Protocol::kHotStuff).find(
-                "pacemaker_max_backoff must allow at least one backoff "
-                "step"),
-            std::string::npos);
+  options.batch_timeout = 0.5;
+  EXPECT_EQ(violation(options), "");
 }
 
 }  // namespace
