@@ -62,7 +62,14 @@ class BftCluster {
   /// true when the target was reached.
   bool run_until_executed(std::size_t count, double deadline);
 
-  /// Runs the simulation for `duration` simulated seconds.
+  /// Steps the simulation while its clock is before `now() + duration`.
+  /// The check precedes each step, so this also executes the first event
+  /// at or past that deadline — which may lie well beyond it (a timer
+  /// seconds later) and can start work the caller did not expect, such as
+  /// a view change. `simulator().run_until(t)` executes only events at or
+  /// before `t`, but skips this method's per-step recording of execution
+  /// times. Campaign and bft_churn cells drive the cluster in `run_for`
+  /// slices, so their pinned golden timelines depend on this overshoot.
   void run_for(double duration);
 
   /// Safety: executed logs of honest replicas are pairwise

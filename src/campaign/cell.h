@@ -56,7 +56,7 @@ class CampaignCellScenario : public runtime::Scenario {
       const runtime::RunContext& ctx) const override;
 
   /// The default campaign grid (every target × every fault × two rates),
-  /// the grid `findep-campaign` spec files override axes of.
+  /// whose axes campaign spec files (campaign/spec.h) override.
   [[nodiscard]] static runtime::ParamGrid default_grid();
 
  private:

@@ -158,6 +158,10 @@ CampaignReport build_campaign_report(
 
 int report_main(const std::vector<std::string>& paths, std::ostream& out,
                 std::ostream& err) {
+  if (paths.empty()) {
+    err << "usage: findep-bench --report RESULTS.jsonl...\n";
+    return 2;
+  }
   std::vector<runtime::TaskResult> results;
   for (const std::string& path : paths) {
     std::ifstream file;

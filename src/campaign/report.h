@@ -49,8 +49,8 @@ struct CampaignReport {
     const std::vector<runtime::TaskResult>& results);
 
 /// Reads result-JSONL shard files ("-" = stdin), builds and prints the
-/// report. Unreadable files or malformed lines go to `err` with exit
-/// code 2; returns 1 when any record carried an error, else 0.
+/// report. No path, unreadable files or malformed lines go to `err` with
+/// exit code 2; returns 1 when any record carried an error, else 0.
 int report_main(const std::vector<std::string>& paths, std::ostream& out,
                 std::ostream& err);
 

@@ -1,13 +1,13 @@
 #include "campaign/spec.h"
 
+#include <algorithm>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 
-#include "campaign/cell.h"
 #include "campaign/fault.h"
 #include "campaign/target.h"
-#include "support/assert.h"
 
 namespace findep::campaign {
 
@@ -156,13 +156,56 @@ CampaignSpec load_campaign_spec(const std::string& path) {
   return parse_campaign_spec(buffer.str());
 }
 
-runtime::ParamGrid campaign_grid(const CampaignSpec& spec) {
-  runtime::ParamGrid grid = CampaignCellScenario::default_grid();
-  for (const auto& [axis, values] : spec.overrides) {
-    const bool known = grid.override_axis(axis, values);
-    FINDEP_ASSERT(known);  // parse validated the axis names
+CampaignCommand lower_campaign_flags(const std::vector<std::string>& args) {
+  CampaignCommand command;
+  const auto report = std::find(args.begin(), args.end(), "--report");
+  if (report != args.end()) {
+    command.report.emplace(std::next(report), args.end());
+    return command;
   }
-  return grid;
+
+  std::optional<CampaignSpec> spec;
+  std::vector<std::string> rest;
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    if (args[i] != "--spec") {
+      rest.push_back(args[i]);
+      continue;
+    }
+    if (i + 1 >= args.size()) {
+      throw std::invalid_argument("--spec expects a campaign spec file");
+    }
+    spec = load_campaign_spec(args[++i]);
+  }
+  if (!spec.has_value()) {
+    command.args = std::move(rest);
+    return command;
+  }
+
+  for (std::size_t i = 0; i + 1 < rest.size(); ++i) {
+    if (rest[i] != "--family") continue;
+    std::istringstream names(rest[i + 1]);
+    for (std::string name; std::getline(names, name, ',');) {
+      if (name != "campaign") {
+        throw std::invalid_argument("--spec drives the campaign family; "
+                                    "--family " + rest[i + 1] +
+                                    " names another");
+      }
+    }
+  }
+  command.args = {"--family", "campaign"};
+  for (const auto& [axis, values] : spec->overrides) {
+    std::string set = axis + '=';
+    for (std::size_t v = 0; v < values.size(); ++v) {
+      set += (v == 0 ? "" : ",") + values[v];
+    }
+    command.args.insert(command.args.end(), {"--set", set});
+  }
+  if (spec->seeds.has_value()) {
+    command.args.insert(command.args.end(),
+                        {"--seeds", std::to_string(*spec->seeds)});
+  }
+  command.args.insert(command.args.end(), rest.begin(), rest.end());
+  return command;
 }
 
 }  // namespace findep::campaign

@@ -19,10 +19,10 @@
 // always a spec bug), unknown target/fault names, rates outside (0, 1]
 // and n < 4 are all rejected with the offending line number.
 //
-// A parsed spec lowers to the same `--set`-style overrides the CLI takes,
-// so `findep-campaign --spec FILE` and hand-written `--set` flags drive
-// the identical expansion path (run_families_main), including
-// `--emit-tasks` sharding.
+// A parsed spec lowers to the same `--set` flags the CLI takes:
+// `findep-bench --spec FILE` is `findep-bench --family campaign --set ...`,
+// so spec-driven and hand-written campaigns drive the identical expansion
+// path (run_families_main), including `--emit-tasks` sharding.
 #pragma once
 
 #include <cstdint>
@@ -30,8 +30,6 @@
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "runtime/param.h"
 
 namespace findep::campaign {
 
@@ -51,8 +49,26 @@ struct CampaignSpec {
 /// cannot be read; parse errors as parse_campaign_spec.
 [[nodiscard]] CampaignSpec load_campaign_spec(const std::string& path);
 
-/// The campaign grid with the spec's overrides applied — the cells this
-/// spec expands to (cartesian product of the resulting axes).
-[[nodiscard]] runtime::ParamGrid campaign_grid(const CampaignSpec& spec);
+/// What findep-bench makes of its two campaign flags, resolved before the
+/// registry driver parses the command line.
+struct CampaignCommand {
+  /// `--report SHARD...` (the rest of the command line): print the
+  /// outcome report of these result shards instead of sweeping.
+  std::optional<std::vector<std::string>> report;
+  /// Otherwise the registry-driver arguments (argv without argv[0]).
+  /// `--spec FILE` lowers to `--family campaign`, one `--set AXIS=V,...`
+  /// per spec axis and `--seeds K` when the spec pins one, all ahead of
+  /// the command line's own flags — so a command-line `--set` or
+  /// `--seeds` still wins. Without `--spec` the arguments pass unchanged.
+  std::vector<std::string> args;
+};
+
+/// Resolves `--report` and `--spec` in `args` (argv without argv[0]).
+/// Throws std::invalid_argument on `--spec` without a path, or on `--spec`
+/// together with a `--family` naming any family but `campaign` (spec axes
+/// such as `n` would silently re-aim it); spec errors propagate as from
+/// load_campaign_spec.
+[[nodiscard]] CampaignCommand lower_campaign_flags(
+    const std::vector<std::string>& args);
 
 }  // namespace findep::campaign

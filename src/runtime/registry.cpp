@@ -5,7 +5,6 @@
 #include <iostream>
 #include <stdexcept>
 
-#include "runtime/suite.h"
 #include "runtime/task.h"
 
 namespace findep::runtime {
@@ -59,27 +58,6 @@ ScenarioRegistration::ScenarioRegistration(ScenarioFamily family) {
   ScenarioRegistry::global().register_family(std::move(family));
 }
 
-std::vector<std::unique_ptr<Scenario>> instantiate_family(
-    const ScenarioFamily& family, const std::vector<ParamGrid>& grids) {
-  std::vector<std::unique_ptr<Scenario>> out;
-  if (grids.empty()) {
-    out.push_back(family.factory(ParamSet{}));
-    return out;
-  }
-  for (const ParamGrid& grid : grids) {
-    for (const ParamSet& point : grid.expand()) {
-      std::unique_ptr<Scenario> scenario = family.factory(point);
-      if (scenario == nullptr) {
-        throw std::invalid_argument("family '" + family.name +
-                                    "' factory returned null for {" +
-                                    point.label() + "}");
-      }
-      out.push_back(std::move(scenario));
-    }
-  }
-  return out;
-}
-
 namespace {
 
 std::string grid_summary(const std::vector<ParamGrid>& grids) {
@@ -105,13 +83,12 @@ std::string grid_summary(const std::vector<ParamGrid>& grids) {
   return out.empty() ? "(fixed)" : out;
 }
 
-void list_families(const std::vector<const ScenarioFamily*>& selected,
-                   std::ostream& out) {
+void list_families(const FamilySelection& selection, std::ostream& out) {
   std::size_t width = 0;
-  for (const ScenarioFamily* family : selected) {
+  for (const auto& [family, grids] : selection) {
     width = std::max(width, family->name.size());
   }
-  for (const ScenarioFamily* family : selected) {
+  for (const auto& [family, grids] : selection) {
     out << family->name << std::string(width - family->name.size(), ' ')
         << "  " << family->instance_count() << " scenario(s)";
     if (!family->deterministic) out << "  [measured]";
@@ -121,168 +98,128 @@ void list_families(const std::vector<const ScenarioFamily*>& selected,
   }
 }
 
-int usage_error(std::ostream& err, const std::string& message) {
-  err << "error: " << message << '\n';
+int usage_error(const std::string& message) {
+  std::cerr << "error: " << message << '\n';
   return 2;
 }
 
 }  // namespace
 
-int run_families_main(
-    int argc, const char* const* argv,
-    const std::vector<std::string>& default_families, std::string intro,
-    const std::vector<std::pair<std::string, std::vector<std::string>>>&
-        overrides) {
-  SuiteOptions options;
-  if (!parse_suite_options(argc, argv, options, std::cerr)) return 2;
-
-  // The two wire-side modes need no family selection: a worker executes
-  // whatever tasks arrive, a merge only re-renders results.
-  if (options.worker || options.merge_mode) {
-    std::ofstream out_file;
-    std::ostream* dest = &std::cout;
-    if (!open_output(options.out_file, out_file, dest)) {
-      return usage_error(std::cerr, "cannot open --out file '" +
-                                        options.out_file + "'");
-    }
-    const int code =
-        options.worker
-            ? run_worker(std::cin, *dest, std::cerr, options.sweep.threads)
-            : merge_shards(options.merge, options.csv, options.json, *dest,
-                           std::cerr);
-    if (!close_output(options.out_file, out_file, dest, std::cerr)) return 2;
-    return code;
-  }
-
+FamilySelection select_families(const SuiteOptions& options) {
   const ScenarioRegistry& registry = ScenarioRegistry::global();
-
-  // The binary's built-in subset (empty = the whole registry). A missing
-  // name here is a programming error in the driver, not user input.
-  std::vector<const ScenarioFamily*> selected;
-  if (default_families.empty()) {
-    selected = registry.families();
-  } else {
-    for (const std::string& name : default_families) {
-      const ScenarioFamily* family = registry.find(name);
-      if (family == nullptr) {
-        return usage_error(std::cerr, "driver references unregistered "
-                                      "scenario family '" +
-                                          name + "'");
+  std::vector<const ScenarioFamily*> families;
+  for (const std::string& name : options.families) {
+    const ScenarioFamily* family = registry.find(name);
+    if (family == nullptr) {
+      std::string known;
+      for (const ScenarioFamily* f : registry.families()) {
+        if (!known.empty()) known += ", ";
+        known += f->name;
       }
-      selected.push_back(family);
+      throw std::invalid_argument("unknown family '" + name +
+                                  "' (available: " + known + ")");
     }
-    std::sort(selected.begin(), selected.end(),
-              [](const ScenarioFamily* a, const ScenarioFamily* b) {
-                return a->name < b->name;
-              });
-  }
-
-  // --family narrows further; every requested name must resolve.
-  if (!options.families.empty()) {
-    std::vector<const ScenarioFamily*> narrowed;
-    for (const std::string& name : options.families) {
-      const auto it = std::find_if(
-          selected.begin(), selected.end(),
-          [&](const ScenarioFamily* f) { return f->name == name; });
-      if (it == selected.end()) {
-        std::string known;
-        for (const ScenarioFamily* f : selected) {
-          if (!known.empty()) known += ", ";
-          known += f->name;
-        }
-        return usage_error(std::cerr, "unknown family '" + name +
-                                          "' (available: " + known + ")");
-      }
-      if (std::find(narrowed.begin(), narrowed.end(), *it) ==
-          narrowed.end()) {
-        narrowed.push_back(*it);
-      }
+    if (std::find(families.begin(), families.end(), family) ==
+        families.end()) {
+      families.push_back(family);
     }
-    std::sort(narrowed.begin(), narrowed.end(),
-              [](const ScenarioFamily* a, const ScenarioFamily* b) {
-                return a->name < b->name;
-              });
-    selected = std::move(narrowed);
   }
+  if (families.empty()) families = registry.families();
+  std::sort(families.begin(), families.end(),
+            [](const ScenarioFamily* a, const ScenarioFamily* b) {
+              return a->name < b->name;
+            });
 
-  if (options.list) {
-    list_families(selected, std::cout);
-    return 0;
+  FamilySelection selection;
+  for (const ScenarioFamily* family : families) {
+    selection.emplace_back(family, family->grids);
   }
-
-  // Working copies of the grids, then axis overrides: the driver's
-  // baked-in ones first, the command line's on top. Every override must
-  // hit at least one selected grid — a typoed axis is a usage error.
-  std::vector<std::vector<ParamGrid>> grids;
-  grids.reserve(selected.size());
-  for (const ScenarioFamily* family : selected) {
-    grids.push_back(family->grids);
-  }
-  std::vector<AxisOverride> all_sets;
-  for (const auto& [axis, values] : overrides) {
-    all_sets.push_back(AxisOverride{axis, values});
-  }
-  all_sets.insert(all_sets.end(), options.sets.begin(), options.sets.end());
-  for (const AxisOverride& over : all_sets) {
+  // Every override must hit at least one selected grid — a typoed axis
+  // is a usage error.
+  for (const AxisOverride& over : options.sets) {
     bool applied = false;
-    for (std::vector<ParamGrid>& family_grids : grids) {
-      for (ParamGrid& grid : family_grids) {
+    for (auto& [family, grids] : selection) {
+      for (ParamGrid& grid : grids) {
         try {
           applied = grid.override_axis(over.axis, over.values) || applied;
         } catch (const std::invalid_argument& e) {
-          return usage_error(std::cerr, std::string("--set ") + e.what());
+          throw std::invalid_argument(std::string("--set ") + e.what());
         }
       }
     }
     if (!applied) {
-      return usage_error(std::cerr, "--set " + over.axis +
-                                        ": no selected family has that "
-                                        "axis");
+      throw std::invalid_argument("--set " + over.axis +
+                                  ": no selected family has that axis");
     }
   }
+  return selection;
+}
 
-  // Coordinator mode: print the selected catalog as task JSONL instead of
-  // sweeping it. The same selection + overridden grids feed both paths,
-  // so `--emit-tasks | --worker | --merge -` reproduces the in-process
-  // sweep byte-for-byte.
-  if (options.emit_tasks) {
-    FamilySelection selection;
-    for (std::size_t f = 0; f < selected.size(); ++f) {
-      selection.emplace_back(selected[f], grids[f]);
-    }
-    std::ofstream out_file;
-    std::ostream* dest = &std::cout;
-    if (!open_output(options.out_file, out_file, dest)) {
-      return usage_error(std::cerr, "cannot open --out file '" +
-                                        options.out_file + "'");
-    }
-    try {
-      emit_task_catalog(selection, options.sweep, options.only,
-                        options.exclude, *dest);
-    } catch (const std::exception& e) {
-      return usage_error(std::cerr, e.what());
-    }
-    if (!close_output(options.out_file, out_file, dest, std::cerr)) return 2;
-    return 0;
-  }
+int run_families_main(int argc, const char* const* argv) {
+  SuiteOptions options;
+  if (!parse_suite_options(argc, argv, options, std::cerr)) return 2;
+  const bool merge = !options.merge.empty();
 
-  ScenarioSuite suite(std::move(intro));
-  for (std::size_t f = 0; f < selected.size(); ++f) {
-    // Factories and scenario constructors validate their parameters
-    // (string axes like mix/fleet/case, numeric preconditions); with
-    // overridden grids those throws are user input, not bugs.
+  // A worker executes whatever tasks arrive and a merge only renders
+  // results, so neither selects families. The other modes expand the
+  // catalog before opening --out: a bad --set value or factory argument
+  // must not leave a truncated output file behind.
+  std::vector<BoundTask> tasks;
+  if (!options.worker && !merge) {
     try {
-      for (auto& scenario : instantiate_family(*selected[f], grids[f])) {
-        suite.add(std::move(scenario));
+      const FamilySelection selection = select_families(options);
+      if (options.list) {
+        list_families(selection, std::cout);
+        return 0;
       }
-    } catch (const std::exception& e) {
-      return usage_error(std::cerr,
-                         "family '" + selected[f]->name + "': " + e.what());
+      tasks = expand_catalog(selection, options.sweep, options.only,
+                             options.exclude);
+    } catch (const std::invalid_argument& e) {
+      return usage_error(e.what());
     }
   }
-  // `list` was handled above at family granularity; everything else
-  // (sweep, --only, rendering) is the suite's job.
-  return suite.run(options, std::cout, std::cerr);
+
+  // --out FILE redirects the rendered output; opened before the work so
+  // a bad path fails before the sweep, not after.
+  std::ofstream file;
+  std::ostream* dest = &std::cout;
+  if (!options.out_file.empty()) {
+    file.open(options.out_file);
+    if (!file) {
+      return usage_error("cannot open --out file '" + options.out_file +
+                         "'");
+    }
+    dest = &file;
+  }
+
+  int code = 0;
+  if (options.worker) {
+    code = run_worker(std::cin, *dest, std::cerr, options.sweep.threads);
+  } else if (merge) {
+    code = merge_shards(options.merge, options.csv, options.json, *dest,
+                        std::cerr);
+  } else if (options.emit_tasks) {
+    for (const BoundTask& task : tasks) *dest << to_json(task.spec) << '\n';
+  } else {
+    code = run_sweep(tasks, options, *dest, std::cerr);
+  }
+
+  if (dest == &file) {
+    // A truncated results file must not exit 0.
+    file.flush();
+    if (!file) {
+      return usage_error("failed writing --out file '" + options.out_file +
+                         "'");
+    }
+    // The in-process sweep keeps a one-line confirmation on stdout, so
+    // scripted sweeps can pipe freely.
+    if (!options.worker && !merge && !options.emit_tasks) {
+      std::cout << "wrote " << options.out_file << " ("
+                << (options.json ? "json" : options.csv ? "csv" : "tables")
+                << ")\n";
+    }
+  }
+  return code;
 }
 
 }  // namespace findep::runtime

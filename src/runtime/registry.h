@@ -6,22 +6,25 @@
 // `Scenario` instance. Families register themselves process-wide at
 // static-initialization time (`ScenarioRegistration` in the family's
 // translation unit), so every binary linking the scenario library — the
-// unified `findep-bench` CLI, `bench/campaign`, the tests — sees the same
+// `findep-bench` CLI, the benchmark driver, the tests — sees the same
 // catalog.
 //
-// `run_families_main()` is the shared driver main on top of it: select
-// families (`--family`, or the binary's built-in subset), override grid
-// axes (`--set axis=v1,v2`), expand, and sweep everything through the
-// suite's global (scenario, seed) work queue.
+// `run_families_main()` is findep-bench's driver main on top of it:
+// select families (`--family`), override grid axes
+// (`--set axis=v1,v2`), then run the sweep pipeline of runtime/task.h —
+// in process, or one stage of it (`--emit-tasks`, `--worker`,
+// `--merge`).
 #pragma once
 
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "runtime/param.h"
 #include "runtime/scenario.h"
+#include "runtime/suite.h"
 
 namespace findep::runtime {
 
@@ -71,21 +74,21 @@ struct ScenarioRegistration {
   explicit ScenarioRegistration(ScenarioFamily family);
 };
 
-/// Expands `grids` through `family.factory`, one scenario per grid point,
-/// grids in order.
-[[nodiscard]] std::vector<std::unique_ptr<Scenario>> instantiate_family(
-    const ScenarioFamily& family, const std::vector<ParamGrid>& grids);
+/// The selected families, each with its (possibly axis-overridden) grids,
+/// in catalog order (sorted by family name).
+using FamilySelection =
+    std::vector<std::pair<const ScenarioFamily*, std::vector<ParamGrid>>>;
 
-/// The shared registry-driven main for `findep-bench` and
-/// `bench/campaign`. `default_families` restricts the binary to a subset
-/// of the registry (empty = every registered family); `overrides` are
-/// baked-in `--set`-style axis overrides applied before the command
-/// line's (campaign's spec file lowers to them).
-/// Understands every suite flag plus `--family` and `--set`.
-int run_families_main(
-    int argc, const char* const* argv,
-    const std::vector<std::string>& default_families, std::string intro,
-    const std::vector<std::pair<std::string, std::vector<std::string>>>&
-        overrides = {});
+/// Resolves `options.families` against the global registry (empty = every
+/// family) and applies `options.sets` in command-line order, so a later
+/// `--set` of an axis replaces an earlier one. Throws
+/// std::invalid_argument on an unknown family, a `--set` value that does
+/// not parse as its axis type, or a `--set` axis no selected grid has.
+[[nodiscard]] FamilySelection select_families(const SuiteOptions& options);
+
+/// findep-bench's main: parses the uniform flags (runtime/suite.h) and
+/// runs the selected mode. Returns a process exit code: 0 ok, 1 when any
+/// run failed, 2 on a usage or I/O error.
+int run_families_main(int argc, const char* const* argv);
 
 }  // namespace findep::runtime

@@ -3,9 +3,9 @@
 // A scenario is a *pure function of the run context*: `run()` builds its
 // own Simulator, SimNetwork, Rng and protocol objects from `ctx.seed`,
 // executes, and returns metrics. Nothing is shared between runs, which is
-// what lets SweepRunner execute seeds on a thread pool while keeping each
-// run bit-identical to its serial execution (the seed-determinism
-// contract, documented in DESIGN.md).
+// what lets the sweep (runtime/task.h) execute seeds on a thread pool
+// while keeping each run bit-identical to its serial execution (the
+// seed-determinism contract, documented in DESIGN.md).
 #pragma once
 
 #include <cstdint>

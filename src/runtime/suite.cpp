@@ -1,13 +1,7 @@
 #include "runtime/suite.h"
 
 #include <cstdlib>
-#include <fstream>
-#include <iostream>
 #include <ostream>
-
-#include "runtime/counters.h"
-#include "support/assert.h"
-#include "support/table.h"
 
 namespace findep::runtime {
 
@@ -44,9 +38,9 @@ std::vector<std::string> split_commas(const std::string& text) {
 void print_usage(std::ostream& err) {
   err << "usage: [--seed S] [--seeds K] [--threads T] [--only SUBSTR] "
          "[--exclude SUBSTR] [--family NAME[,NAME]] [--set AXIS=V[,V]] "
-         "[--list] [--csv] [--json] [--out FILE]\n"
-         "       [--emit-tasks | --worker | --merge SHARD...]  "
-         "(distributed sweep; see DESIGN.md)\n";
+         "[--spec FILE] [--list] [--csv] [--json] [--out FILE]\n"
+         "       [--emit-tasks | --worker | --merge SHARD... | "
+         "--report SHARD...]  (distributed sweep; see DESIGN.md)\n";
 }
 
 bool fail(std::ostream& err, const std::string& message) {
@@ -84,7 +78,6 @@ bool parse_suite_options(int argc, const char* const* argv,
     if (arg == "--merge") {
       // Consumes every following non-flag argument as a shard path; "-"
       // alone names stdin.
-      options.merge_mode = true;
       while (i + 1 < argc) {
         const std::string path = argv[i + 1];
         if (path.size() >= 2 && path.compare(0, 2, "--") == 0) break;
@@ -162,125 +155,12 @@ bool parse_suite_options(int argc, const char* const* argv,
   }
   const int modes = static_cast<int>(options.emit_tasks) +
                     static_cast<int>(options.worker) +
-                    static_cast<int>(options.merge_mode);
+                    static_cast<int>(!options.merge.empty());
   if (modes > 1) {
     return fail(err, "--emit-tasks, --worker and --merge are mutually "
                      "exclusive");
   }
   return true;
-}
-
-bool open_output(const std::string& path, std::ofstream& file,
-                 std::ostream*& dest) {
-  if (path.empty()) return true;
-  file.open(path);
-  if (!file) return false;
-  dest = &file;
-  return true;
-}
-
-bool close_output(const std::string& path, std::ofstream& file,
-                  const std::ostream* dest, std::ostream& err) {
-  if (dest != &file) return true;
-  file.flush();
-  if (!file) {
-    err << "error: failed writing --out file '" << path << "'\n";
-    return false;
-  }
-  return true;
-}
-
-void ScenarioSuite::add(std::unique_ptr<Scenario> scenario) {
-  FINDEP_REQUIRE(scenario != nullptr);
-  scenarios_.push_back(std::move(scenario));
-}
-
-int ScenarioSuite::run(const SuiteOptions& options, std::ostream& out,
-                       std::ostream& err) const {
-  if (options.list) {
-    for (const auto& scenario : scenarios_) out << scenario->name() << '\n';
-    return 0;
-  }
-
-  // Select first, then sweep everything through one global work queue so
-  // the whole suite shares the worker pool (fills cores at --seeds 1).
-  std::vector<const Scenario*> selected;
-  for (const auto& scenario : scenarios_) {
-    if (!options.only.empty() &&
-        scenario->name().find(options.only) == std::string::npos) {
-      continue;
-    }
-    if (!options.exclude.empty() &&
-        scenario->name().find(options.exclude) != std::string::npos) {
-      continue;
-    }
-    selected.push_back(scenario.get());
-  }
-
-  // --out FILE redirects the rendered results; stdout keeps a one-line
-  // confirmation so scripted sweeps can pipe stdout/stderr freely. Opened
-  // before the sweep so a bad path fails before the work, not after.
-  std::ofstream file;
-  std::ostream* dest = &out;
-  if (!open_output(options.out_file, file, dest)) {
-    err << "error: cannot open --out file '" << options.out_file << "'\n";
-    return 2;
-  }
-
-  const SweepRunner runner(options.sweep);
-  std::vector<std::vector<RunRecord>> results = runner.run_all(selected);
-
-  MetricsSink sink;
-  for (std::size_t s = 0; s < selected.size(); ++s) {
-    sink.add(selected[s]->name(), selected[s]->family(),
-             std::move(results[s]));
-  }
-
-  if (options.json) {
-    sink.print_json(*dest);
-  } else if (options.csv) {
-    sink.print_csv(*dest);
-  } else {
-    if (!intro_.empty()) support::print_banner(*dest, intro_);
-    *dest << "sweep: " << options.sweep.num_seeds << " seed(s) from --seed "
-          << options.sweep.base_seed << '\n';
-    sink.print_tables(*dest);
-    // Informational process counters (e.g. analyzer memo hits). Table
-    // mode only: their totals depend on worker interleaving, so they
-    // stay out of the deterministic CSV/JSON record.
-    const auto counters = sample_process_counters();
-    if (!counters.empty()) {
-      *dest << "\ncounters:";
-      for (const auto& [name, value] : counters) {
-        *dest << ' ' << name << '=' << value;
-      }
-      *dest << '\n';
-    }
-  }
-  if (!close_output(options.out_file, file, dest, err)) return 2;
-  if (dest == &file) {
-    out << "wrote " << options.out_file << " ("
-        << (options.json ? "json" : options.csv ? "csv" : "tables") << ")\n";
-  }
-
-  if (sink.any_errors()) {
-    for (const auto& entry : sink.entries()) {
-      for (const RunRecord& record : entry.records) {
-        if (!record.ok()) {
-          err << entry.scenario << " seed " << record.seed
-              << " failed: " << record.error << '\n';
-        }
-      }
-    }
-    return 1;
-  }
-  return 0;
-}
-
-int ScenarioSuite::run_main(int argc, const char* const* argv) const {
-  SuiteOptions options;
-  if (!parse_suite_options(argc, argv, options, std::cerr)) return 2;
-  return run(options, std::cout, std::cerr);
 }
 
 }  // namespace findep::runtime

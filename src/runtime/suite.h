@@ -1,10 +1,5 @@
-// ScenarioSuite: the shared driver main for benches and examples.
-//
-// A driver registers its scenarios and delegates to run_main(), which
-// parses the uniform experiment flags, sweeps every scenario across the
-// requested seeds on a worker pool, and renders results through the
-// MetricsSink. This replaces the per-binary setup/run/aggregate loops the
-// old bench drivers each hand-rolled.
+// The uniform flags of the findep-bench driver (`run_families_main` in
+// runtime/registry.h), parsed into SuiteOptions:
 //
 //   --seed S      master seed (default 1); every per-run seed derives
 //                 from it, so one flag reproduces an entire sweep
@@ -14,36 +9,30 @@
 //   --exclude SUB skip scenarios whose name contains SUB (applied after
 //                 --only; what CI uses to carve protocol-comparison
 //                 cells out of byte-identity cmp's)
-//   --family F    run only the named families (repeatable / comma list;
-//                 interpreted by the registry driver, run_families_main)
-//   --set A=V,V   override grid axis A with the listed values (registry
-//                 driver only)
-//   --list        print scenario families / names and exit
+//   --family F    run only the named families (repeatable / comma list)
+//   --set A=V,V   override grid axis A with the listed values
+//   --list        print scenario families and exit
 //   --csv / --json  machine-readable output instead of tables
 //   --out FILE    write the rendered results to FILE instead of stdout
 //                 (stdout keeps a one-line confirmation, so scripted
 //                 sweeps can pipe freely)
 //
-// Distributed-sweep modes (registry driver only; mutually exclusive —
-// see runtime/task.h for the wire protocol):
+// Distributed-sweep modes (mutually exclusive — see runtime/task.h for
+// the wire protocol):
 //   --emit-tasks  print the selected catalog as task JSONL and exit
 //   --worker      execute task JSONL from stdin, stream result JSONL
 //   --merge F...  gather result shards ("-" = stdin) into the standard
 //                 table/CSV/JSON rendering
 //
-// All scenarios of a suite are swept through ONE global (scenario, seed)
-// work queue, so a multi-scenario suite fills every worker even at
-// --seeds 1; per-run results are still bit-identical to --threads 1.
+// findep-bench itself resolves two campaign flags before these are parsed
+// (campaign/spec.h): `--spec FILE` lowers to `--family campaign --set ...`
+// and `--report SHARD...` prints the campaign outcome report.
 #pragma once
 
 #include <iosfwd>
-#include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "runtime/metrics.h"
-#include "runtime/scenario.h"
 #include "runtime/sweep.h"
 
 namespace findep::runtime {
@@ -68,7 +57,6 @@ struct SuiteOptions {
   bool emit_tasks = false;             // --emit-tasks
   bool worker = false;                 // --worker
   std::vector<std::string> merge;      // --merge shard paths ("-" = stdin)
-  bool merge_mode = false;
 };
 
 /// Parses the uniform flags; returns false (after printing a specific
@@ -78,48 +66,5 @@ struct SuiteOptions {
 [[nodiscard]] bool parse_suite_options(int argc, const char* const* argv,
                                        SuiteOptions& options,
                                        std::ostream& err);
-
-/// Routes driver output for `--out`: leaves `dest` untouched when `path`
-/// is empty, otherwise opens `file` at `path` and points `dest` at it.
-/// Returns false when the file cannot be opened. Open the output BEFORE
-/// doing any work, so a bad path cannot discard a finished sweep.
-[[nodiscard]] bool open_output(const std::string& path, std::ofstream& file,
-                               std::ostream*& dest);
-
-/// Flushes a file previously routed by open_output and reports write
-/// failures: returns false (after an "error: ..." line on `err`) when
-/// any write to `file` failed — a truncated results file must not exit
-/// 0. No-op returning true when `dest` was never redirected.
-[[nodiscard]] bool close_output(const std::string& path, std::ofstream& file,
-                                const std::ostream* dest, std::ostream& err);
-
-class ScenarioSuite {
- public:
-  /// `intro` is printed (as a banner) before the results.
-  explicit ScenarioSuite(std::string intro) : intro_(std::move(intro)) {}
-
-  void add(std::unique_ptr<Scenario> scenario);
-
-  template <typename S, typename... Args>
-  void emplace(Args&&... args) {
-    add(std::make_unique<S>(std::forward<Args>(args)...));
-  }
-
-  [[nodiscard]] std::size_t size() const noexcept {
-    return scenarios_.size();
-  }
-
-  /// Sweeps every (matching) scenario and renders results to `out`.
-  /// Returns a process exit code (non-zero when any run failed).
-  int run(const SuiteOptions& options, std::ostream& out,
-          std::ostream& err) const;
-
-  /// Convenience for driver main(): parse flags, run, return exit code.
-  int run_main(int argc, const char* const* argv) const;
-
- private:
-  std::string intro_;
-  std::vector<std::unique_ptr<Scenario>> scenarios_;
-};
 
 }  // namespace findep::runtime

@@ -1,10 +1,9 @@
 #include "runtime/sweep.h"
 
-#include <atomic>
 #include <exception>
 #include <thread>
+#include <vector>
 
-#include "support/assert.h"
 #include "support/rng.h"
 
 namespace findep::runtime {
@@ -35,53 +34,6 @@ RunRecord execute_task(const SweepTask& task) {
   return record;
 }
 
-/// The in-process source: flat (scenario, run_index) indices claimed off
-/// one atomic counter, scenario-major so a serial drain executes exactly
-/// like the old per-scenario loop.
-class IndexedTaskSource final : public TaskSource {
- public:
-  IndexedTaskSource(const std::vector<const Scenario*>& scenarios,
-                    const SweepOptions& options)
-      : scenarios_(scenarios), options_(options) {}
-
-  bool next(SweepTask& task) override {
-    const std::size_t flat = next_.fetch_add(1);
-    if (flat >= scenarios_.size() * options_.num_seeds) return false;
-    const std::size_t i = flat % options_.num_seeds;
-    // Aliasing shared_ptr: the suite owns the scenario for the whole
-    // sweep, so the task needs no ownership of its own.
-    task.scenario = std::shared_ptr<const Scenario>(
-        std::shared_ptr<const Scenario>{}, scenarios_[flat / options_.num_seeds]);
-    task.seed = derive_seed(options_.base_seed, i);
-    task.run_index = i;
-    task.slot = flat;
-    return true;
-  }
-
- private:
-  const std::vector<const Scenario*>& scenarios_;
-  const SweepOptions& options_;
-  std::atomic<std::size_t> next_{0};
-};
-
-/// The in-process collector: each record lands in its own (scenario,
-/// run_index) slot, so no synchronization beyond the slot math is needed.
-class SlottedCollector final : public ResultCollector {
- public:
-  SlottedCollector(std::vector<std::vector<RunRecord>>& records,
-                   std::size_t num_seeds)
-      : records_(records), num_seeds_(num_seeds) {}
-
-  void collect(const SweepTask& task, RunRecord record) override {
-    records_[task.slot / num_seeds_][task.slot % num_seeds_] =
-        std::move(record);
-  }
-
- private:
-  std::vector<std::vector<RunRecord>>& records_;
-  std::size_t num_seeds_;
-};
-
 }  // namespace
 
 void run_task_pool(TaskSource& source, ResultCollector& collector,
@@ -102,35 +54,6 @@ void run_task_pool(TaskSource& source, ResultCollector& collector,
     });
   }
   for (std::thread& worker : pool) worker.join();
-}
-
-SweepRunner::SweepRunner(SweepOptions options) : options_(options) {
-  FINDEP_REQUIRE(options_.num_seeds > 0);
-}
-
-std::vector<RunRecord> SweepRunner::run(const Scenario& scenario) const {
-  return run_all({&scenario}).front();
-}
-
-std::vector<std::vector<RunRecord>> SweepRunner::run_all(
-    const std::vector<const Scenario*>& scenarios) const {
-  const std::size_t n = options_.num_seeds;
-  std::vector<std::vector<RunRecord>> records(scenarios.size());
-  for (std::size_t s = 0; s < scenarios.size(); ++s) {
-    FINDEP_REQUIRE(scenarios[s] != nullptr);
-    records[s].resize(n);
-  }
-
-  std::size_t threads = options_.threads != 0
-                            ? options_.threads
-                            : std::thread::hardware_concurrency();
-  if (threads == 0) threads = 1;
-  threads = std::min(threads, scenarios.size() * n);
-
-  IndexedTaskSource source(scenarios, options_);
-  SlottedCollector collector(records, n);
-  run_task_pool(source, collector, threads);
-  return records;
 }
 
 }  // namespace findep::runtime

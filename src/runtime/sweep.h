@@ -1,29 +1,27 @@
-// SweepRunner: executes scenarios across K seeds on a worker pool fed
-// from a single global (scenario, seed) work queue.
+// The sweep's work-queue seam: a TaskSource hands out (scenario, seed)
+// runs and a ResultCollector receives their records, drained on a worker
+// pool by `run_task_pool`.
 //
 // Determinism contract: run i of a sweep with base seed S always executes
 // with seed derive_seed(S, i); each run owns its whole simulation stack
-// (Scenario::run is a pure function of the context), and results land in
-// slot (scenario, i) of the output regardless of which worker finishes
-// first. Hence a sweep on any thread count — including 1 — produces
-// bit-identical per-seed records.
+// (Scenario::run is a pure function of the context), and the collector
+// places every record by the task's slot regardless of which worker
+// finishes first. Hence a sweep on any thread count — including 1 —
+// produces bit-identical per-seed records.
 //
-// The queue is suite-wide, not per-scenario: every (scenario, run_index)
+// The queue is sweep-wide, not per-scenario: every (scenario, run_index)
 // pair of a multi-scenario sweep is one task claimed off one atomic
-// counter, so a suite of S scenarios keeps all workers busy even at
-// --seeds 1 (the old per-scenario pools left S−1 scenarios waiting).
+// counter, so a sweep of S scenarios keeps all workers busy even at
+// --seeds 1.
 //
-// The queue itself is an abstraction: `run_task_pool` drains any
-// `TaskSource` into any `ResultCollector` on the worker pool. The
-// in-process sweep (`SweepRunner::run_all`) and the wire-format worker
-// (`runtime/task.h`, tasks read as JSONL off stdin) are two
-// implementations of the same seam, so distributing a sweep across
-// processes cannot change per-run execution.
+// The in-process sweep and the wire-format worker (`runtime/task.h`,
+// tasks read as JSONL off stdin) drive the same source/collector pair
+// through this seam, so distributing a sweep across processes cannot
+// change per-run execution.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "runtime/metrics.h"
 #include "runtime/scenario.h"
@@ -32,11 +30,10 @@ namespace findep::runtime {
 
 /// One claimed unit of sweep work: a scenario instance to execute at an
 /// already-derived seed. `slot` is an opaque position assigned by the
-/// TaskSource (in-process: the flat scenario×run index; wire worker: the
-/// task's input ordinal) that the ResultCollector uses to place the
-/// record independently of completion order. The shared_ptr keeps
-/// wire-built instances alive until their run completes; in-process
-/// sources alias suite-owned scenarios without ownership.
+/// TaskSource (the task's ordinal in the sweep's task list) that the
+/// ResultCollector uses to place the record independently of completion
+/// order. The shared_ptr keeps the instance alive until its run
+/// completes; all runs of one catalog instance share it.
 struct SweepTask {
   std::shared_ptr<const Scenario> scenario;
   std::uint64_t seed = 0;
@@ -83,29 +80,5 @@ struct SweepOptions {
 /// gamma-stride `run_index` (the splitmix64 stream at position i).
 [[nodiscard]] std::uint64_t derive_seed(std::uint64_t base_seed,
                                         std::size_t run_index) noexcept;
-
-class SweepRunner {
- public:
-  explicit SweepRunner(SweepOptions options = {});
-
-  /// Runs `scenario` once per seed. The returned vector is indexed by
-  /// run_index (= ascending derive_seed order of definition); a run that
-  /// threw carries its message in `error` instead of metrics.
-  [[nodiscard]] std::vector<RunRecord> run(const Scenario& scenario) const;
-
-  /// Sweeps every scenario across the seeds on ONE worker pool: the
-  /// global (scenario, run_index) work queue. Result r[s][i] is the
-  /// record of scenarios[s] at run_index i — bit-identical to running
-  /// each scenario serially. Null scenario pointers are not allowed.
-  [[nodiscard]] std::vector<std::vector<RunRecord>> run_all(
-      const std::vector<const Scenario*>& scenarios) const;
-
-  [[nodiscard]] const SweepOptions& options() const noexcept {
-    return options_;
-  }
-
- private:
-  SweepOptions options_;
-};
 
 }  // namespace findep::runtime

@@ -6,11 +6,15 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 
+#include "runtime/counters.h"
 #include "support/table.h"
 
 namespace findep::runtime {
@@ -456,16 +460,16 @@ TaskResult task_result_from_json(const std::string& text) {
   return result;
 }
 
-// --- coordinator: --emit-tasks ----------------------------------------------
+// --- expand ----------------------------------------------------------------
 
-std::size_t emit_task_catalog(const FamilySelection& selection,
-                              const SweepOptions& sweep,
-                              const std::string& only,
-                              const std::string& exclude, std::ostream& out) {
+std::vector<BoundTask> expand_catalog(const FamilySelection& selection,
+                                      const SweepOptions& sweep,
+                                      const std::string& only,
+                                      const std::string& exclude) {
+  std::vector<BoundTask> tasks;
   std::size_t sequence = 0;
-  std::size_t emitted = 0;
   for (const auto& [family, grids] : selection) {
-    // Empty grid list = one parameterless instance, like instantiate_family.
+    // Empty grid list = one parameterless instance.
     std::vector<ParamSet> points;
     if (grids.empty()) {
       points.emplace_back();
@@ -475,32 +479,212 @@ std::size_t emit_task_catalog(const FamilySelection& selection,
       }
     }
     for (const ParamSet& point : points) {
-      // Build the instance once: validates the grid point where the
-      // coordinator can report it, and yields the name for --only.
-      const std::unique_ptr<Scenario> scenario = family->factory(point);
+      // Factories and scenario constructors validate their parameters
+      // (string axes like mix/fleet/case, numeric preconditions); with
+      // overridden grids those throws are user input, not bugs.
+      std::shared_ptr<const Scenario> scenario;
+      try {
+        scenario = family->factory(point);
+      } catch (const std::exception& e) {
+        throw std::invalid_argument("family '" + family->name +
+                                    "': " + e.what());
+      }
       if (scenario == nullptr) {
         throw std::invalid_argument("family '" + family->name +
                                     "' factory returned null for {" +
                                     point.label() + "}");
       }
       const std::size_t seq = sequence++;
-      if (!only.empty() &&
-          scenario->name().find(only) == std::string::npos) {
-        continue;
-      }
-      if (!exclude.empty() &&
-          scenario->name().find(exclude) != std::string::npos) {
+      const std::string name = scenario->name();
+      if (!only.empty() && name.find(only) == std::string::npos) continue;
+      if (!exclude.empty() && name.find(exclude) != std::string::npos) {
         continue;
       }
       for (std::size_t i = 0; i < sweep.num_seeds; ++i) {
-        out << to_json(TaskSpec{family->name, point, sweep.base_seed, i,
-                                seq})
-            << '\n';
-        ++emitted;
+        tasks.push_back(BoundTask{
+            TaskSpec{family->name, point, sweep.base_seed, i, seq},
+            scenario});
       }
     }
   }
-  return emitted;
+  return tasks;
+}
+
+// --- execute ---------------------------------------------------------------
+
+namespace {
+
+/// Hands out the tasks by list position, which is also the slot.
+class BoundTaskSource final : public TaskSource {
+ public:
+  explicit BoundTaskSource(const std::vector<BoundTask>& tasks)
+      : tasks_(tasks) {}
+
+  bool next(SweepTask& task) override {
+    const std::size_t i = next_.fetch_add(1);
+    if (i >= tasks_.size()) return false;
+    task.scenario = tasks_[i].scenario;
+    task.seed = derive_seed(tasks_[i].spec.base_seed,
+                            tasks_[i].spec.run_index);
+    task.run_index = tasks_[i].spec.run_index;
+    task.slot = i;
+    return true;
+  }
+
+ private:
+  const std::vector<BoundTask>& tasks_;
+  std::atomic<std::size_t> next_{0};
+};
+
+/// Places each result in its task's slot, and optionally streams the
+/// results as JSONL in task order regardless of completion order, so a
+/// worker's stdout is deterministic on any thread count.
+class OrderedCollector final : public ResultCollector {
+ public:
+  OrderedCollector(const std::vector<BoundTask>& tasks, std::ostream* stream)
+      : tasks_(tasks), results_(tasks.size()), done_(tasks.size(), false),
+        stream_(stream) {}
+
+  void collect(const SweepTask& task, RunRecord record) override {
+    TaskResult result;
+    // The *scenario's* rendered family, not the registry family the task
+    // named: the two can differ (bft_batching instantiates bft_scaling
+    // scenarios), and a merge must render exactly what the in-process
+    // sweep renders — that's the byte-identity contract.
+    result.family = task.scenario->family();
+    result.scenario = task.scenario->name();
+    result.sequence = tasks_[task.slot].spec.sequence;
+    result.record = std::move(record);
+
+    const std::lock_guard<std::mutex> lock(mutex_);
+    results_[task.slot] = std::move(result);
+    done_[task.slot] = true;
+    while (next_to_emit_ < done_.size() && done_[next_to_emit_]) {
+      if (stream_ != nullptr) {
+        *stream_ << to_json(results_[next_to_emit_]) << '\n';
+      }
+      ++next_to_emit_;
+    }
+  }
+
+  [[nodiscard]] std::vector<TaskResult> take() { return std::move(results_); }
+
+ private:
+  const std::vector<BoundTask>& tasks_;
+  std::mutex mutex_;  // guards everything below
+  std::vector<TaskResult> results_;
+  std::vector<bool> done_;
+  std::size_t next_to_emit_ = 0;
+  std::ostream* stream_;
+};
+
+}  // namespace
+
+std::vector<TaskResult> execute_tasks(const std::vector<BoundTask>& tasks,
+                                      std::size_t threads,
+                                      std::ostream* stream) {
+  if (tasks.empty()) return {};
+  if (threads == 0) threads = std::thread::hardware_concurrency();
+  if (threads == 0) threads = 1;
+  BoundTaskSource source(tasks);
+  OrderedCollector collector(tasks, stream);
+  run_task_pool(source, collector, std::min(threads, tasks.size()));
+  return collector.take();
+}
+
+// --- render ----------------------------------------------------------------
+
+namespace {
+
+/// The one renderer behind the in-process sweep and --merge. Groups
+/// `results` into scenario entries keyed by (sequence, family, scenario)
+/// — sequence keeps same-named catalog instances apart, e.g. a --set
+/// collapsing both bft_scaling grids onto one point — ordered by
+/// sequence with first appearance breaking ties, then renders json or
+/// csv, or `table_header` and tables, and reports every failed run on
+/// `err`. Returns 1 when any run failed, else 0.
+int render_results(std::vector<TaskResult> results, bool csv, bool json,
+                   const std::string& table_header, std::ostream& out,
+                   std::ostream& err) {
+  struct Group {
+    std::size_t sequence;
+    std::string family;
+    std::string scenario;
+    std::vector<RunRecord> records;
+  };
+  std::vector<Group> groups;
+  for (TaskResult& result : results) {
+    auto group = std::find_if(groups.begin(), groups.end(),
+                              [&](const Group& g) {
+                                return g.sequence == result.sequence &&
+                                       g.family == result.family &&
+                                       g.scenario == result.scenario;
+                              });
+    if (group == groups.end()) {
+      groups.push_back(Group{result.sequence, std::move(result.family),
+                             std::move(result.scenario), {}});
+      group = std::prev(groups.end());
+    }
+    group->records.push_back(std::move(result.record));
+  }
+  std::stable_sort(groups.begin(), groups.end(),
+                   [](const Group& a, const Group& b) {
+                     return a.sequence < b.sequence;
+                   });
+
+  MetricsSink sink;
+  for (Group& group : groups) {
+    sink.add(std::move(group.scenario), std::move(group.family),
+             std::move(group.records));
+  }
+  if (json) {
+    sink.print_json(out);
+  } else if (csv) {
+    sink.print_csv(out);
+  } else {
+    out << table_header;
+    sink.print_tables(out);
+  }
+
+  if (!sink.any_errors()) return 0;
+  for (const auto& entry : sink.entries()) {
+    for (const RunRecord& record : entry.records) {
+      if (!record.ok()) {
+        err << entry.scenario << " seed " << record.seed
+            << " failed: " << record.error << '\n';
+      }
+    }
+  }
+  return 1;
+}
+
+}  // namespace
+
+int run_sweep(const std::vector<BoundTask>& tasks,
+              const SuiteOptions& options, std::ostream& out,
+              std::ostream& err) {
+  std::ostringstream header;
+  support::print_banner(header,
+                        "findep-bench: the registered scenario catalog");
+  header << "sweep: " << options.sweep.num_seeds << " seed(s) from --seed "
+         << options.sweep.base_seed << '\n';
+  const int code =
+      render_results(execute_tasks(tasks, options.sweep.threads),
+                     options.csv, options.json, header.str(), out, err);
+  if (!options.csv && !options.json) {
+    // Informational process counters (e.g. analyzer memo hits). Table
+    // mode only: their totals depend on worker interleaving, so they
+    // stay out of the deterministic CSV/JSON record.
+    const auto counters = sample_process_counters();
+    if (!counters.empty()) {
+      out << "\ncounters:";
+      for (const auto& [name, value] : counters) {
+        out << ' ' << name << '=' << value;
+      }
+      out << '\n';
+    }
+  }
+  return code;
 }
 
 // --- worker: --worker -------------------------------------------------------
@@ -524,92 +708,21 @@ class FailedScenario final : public Scenario {
   std::string message_;
 };
 
-struct LoadedTask {
-  TaskSpec spec;
-  std::shared_ptr<const Scenario> scenario;
-};
-
-/// Hands out pre-parsed wire tasks by input ordinal.
-class LoadedTaskSource final : public TaskSource {
- public:
-  explicit LoadedTaskSource(const std::vector<LoadedTask>& tasks)
-      : tasks_(tasks) {}
-
-  bool next(SweepTask& task) override {
-    const std::size_t i = next_.fetch_add(1);
-    if (i >= tasks_.size()) return false;
-    task.scenario = tasks_[i].scenario;
-    task.seed = derive_seed(tasks_[i].spec.base_seed,
-                            tasks_[i].spec.run_index);
-    task.run_index = tasks_[i].spec.run_index;
-    task.slot = i;
-    return true;
-  }
-
- private:
-  const std::vector<LoadedTask>& tasks_;
-  std::atomic<std::size_t> next_{0};
-};
-
-/// Streams result lines in input order regardless of completion order, so
-/// a worker's stdout is deterministic on any thread count.
-class OrderedJsonlCollector final : public ResultCollector {
- public:
-  OrderedJsonlCollector(const std::vector<LoadedTask>& tasks,
-                        std::ostream& out)
-      : tasks_(tasks), pending_(tasks.size()), done_(tasks.size(), false),
-        out_(out) {}
-
-  void collect(const SweepTask& task, RunRecord record) override {
-    if (!record.ok()) any_error_ = true;
-    TaskResult result;
-    // The *scenario's* rendered family, not the registry family the task
-    // named: the two can differ (bft_batching instantiates bft_scaling
-    // scenarios), and the merge must render exactly what the in-process
-    // sink would — that's the byte-identity contract.
-    result.family = task.scenario->family();
-    result.scenario = task.scenario->name();
-    result.sequence = tasks_[task.slot].spec.sequence;
-    result.record = std::move(record);
-    std::string line = to_json(result);
-
-    const std::lock_guard<std::mutex> lock(mutex_);
-    pending_[task.slot] = std::move(line);
-    done_[task.slot] = true;
-    while (next_to_emit_ < done_.size() && done_[next_to_emit_]) {
-      out_ << pending_[next_to_emit_] << '\n';
-      pending_[next_to_emit_].clear();
-      ++next_to_emit_;
-    }
-  }
-
-  [[nodiscard]] bool any_error() const noexcept { return any_error_; }
-
- private:
-  const std::vector<LoadedTask>& tasks_;
-  std::vector<std::string> pending_;
-  std::vector<bool> done_;
-  std::size_t next_to_emit_ = 0;
-  std::ostream& out_;
-  std::mutex mutex_;
-  std::atomic<bool> any_error_{false};
-};
-
 }  // namespace
 
 int run_worker(std::istream& in, std::ostream& out, std::ostream& err,
                std::size_t threads) {
   const ScenarioRegistry& registry = ScenarioRegistry::global();
 
-  // Parse and resolve everything up front: a malformed task list fails
+  // Parse and bind everything up front: a malformed task list fails
   // fast (before any work runs) with the offending line number.
-  std::vector<LoadedTask> tasks;
+  std::vector<BoundTask> tasks;
   std::string line;
   std::size_t line_number = 0;
   while (std::getline(in, line)) {
     ++line_number;
     if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    LoadedTask task;
+    BoundTask task;
     try {
       task.spec = task_spec_from_json(line);
     } catch (const std::invalid_argument& e) {
@@ -636,29 +749,25 @@ int run_worker(std::istream& in, std::ostream& out, std::ostream& err,
     tasks.push_back(std::move(task));
   }
 
-  if (tasks.empty()) return 0;
-  if (threads == 0) threads = std::thread::hardware_concurrency();
-  if (threads == 0) threads = 1;
-  LoadedTaskSource source(tasks);
-  OrderedJsonlCollector collector(tasks, out);
-  run_task_pool(source, collector, std::min(threads, tasks.size()));
+  const std::vector<TaskResult> results = execute_tasks(tasks, threads, &out);
   out.flush();
-  return collector.any_error() ? 1 : 0;
+  const bool any_error =
+      std::any_of(results.begin(), results.end(),
+                  [](const TaskResult& r) { return !r.record.ok(); });
+  return any_error ? 1 : 0;
 }
 
 // --- merge: --merge ---------------------------------------------------------
 
 namespace {
 
-struct MergeGroup {
-  std::string family;
-  std::string scenario;
-  std::size_t sequence = 0;
-  std::vector<RunRecord> records;
-};
+/// (sequence, family, scenario, seed, run_index): one record's identity.
+using RecordKey = std::tuple<std::size_t, std::string, std::string,
+                             std::uint64_t, std::size_t>;
 
 bool read_shard(std::istream& in, const std::string& label,
-                std::vector<MergeGroup>& groups, std::ostream& err) {
+                std::vector<TaskResult>& results, std::set<RecordKey>& seen,
+                std::ostream& err) {
   std::string line;
   std::size_t line_number = 0;
   while (std::getline(in, line)) {
@@ -672,34 +781,15 @@ bool read_shard(std::istream& in, const std::string& label,
           << e.what() << '\n';
       return false;
     }
-    // Sequence is part of the group key: two catalog instances may share
-    // a display name (e.g. a --set collapsing both bft_scaling grids onto
-    // the same point), and the in-process sweep renders them as two
-    // entries — the merge must too.
-    MergeGroup* group = nullptr;
-    for (MergeGroup& g : groups) {
-      if (g.scenario == result.scenario && g.family == result.family &&
-          g.sequence == result.sequence) {
-        group = &g;
-        break;
-      }
+    if (!seen.emplace(result.sequence, result.family, result.scenario,
+                      result.record.seed, result.record.run_index)
+             .second) {
+      err << "error: " << label << " line " << line_number
+          << ": duplicate record for scenario '" << result.scenario
+          << "' seed " << result.record.seed << " (overlapping shards?)\n";
+      return false;
     }
-    if (group == nullptr) {
-      groups.push_back(MergeGroup{result.family, result.scenario,
-                                  result.sequence, {}});
-      group = &groups.back();
-    }
-    for (const RunRecord& existing : group->records) {
-      if (existing.seed == result.record.seed &&
-          existing.run_index == result.record.run_index) {
-        err << "error: " << label << " line " << line_number
-            << ": duplicate record for scenario '" << result.scenario
-            << "' seed " << result.record.seed
-            << " (overlapping shards?)\n";
-        return false;
-      }
-    }
-    group->records.push_back(std::move(result.record));
+    results.push_back(std::move(result));
   }
   return true;
 }
@@ -708,10 +798,11 @@ bool read_shard(std::istream& in, const std::string& label,
 
 int merge_shards(const std::vector<std::string>& paths, bool csv, bool json,
                  std::ostream& out, std::ostream& err) {
-  std::vector<MergeGroup> groups;
+  std::vector<TaskResult> results;
+  std::set<RecordKey> seen;
   for (const std::string& path : paths) {
     if (path == "-") {
-      if (!read_shard(std::cin, "<stdin>", groups, err)) return 2;
+      if (!read_shard(std::cin, "<stdin>", results, seen, err)) return 2;
       continue;
     }
     std::ifstream file(path);
@@ -719,47 +810,16 @@ int merge_shards(const std::vector<std::string>& paths, bool csv, bool json,
       err << "error: cannot open shard file '" << path << "'\n";
       return 2;
     }
-    if (!read_shard(file, path, groups, err)) return 2;
+    if (!read_shard(file, path, results, seen, err)) return 2;
   }
 
-  // Scenario order: by catalog sequence, first appearance breaking ties —
-  // reproduces the in-process suite order however tasks were sharded.
-  std::stable_sort(groups.begin(), groups.end(),
-                   [](const MergeGroup& a, const MergeGroup& b) {
-                     return a.sequence < b.sequence;
-                   });
-
-  MetricsSink sink;
-  std::size_t total_records = 0;
-  for (MergeGroup& group : groups) {
-    total_records += group.records.size();
-    sink.add(std::move(group.scenario), std::move(group.family),
-             std::move(group.records));
-  }
-
-  if (json) {
-    sink.print_json(out);
-  } else if (csv) {
-    sink.print_csv(out);
-  } else {
-    support::print_banner(
-        out, "merged " + std::to_string(total_records) + " record(s) from " +
-                 std::to_string(paths.size()) + " shard(s)");
-    sink.print_tables(out);
-  }
-
-  if (sink.any_errors()) {
-    for (const auto& entry : sink.entries()) {
-      for (const RunRecord& record : entry.records) {
-        if (!record.ok()) {
-          err << entry.scenario << " seed " << record.seed
-              << " failed: " << record.error << '\n';
-        }
-      }
-    }
-    return 1;
-  }
-  return 0;
+  std::ostringstream header;
+  support::print_banner(header, "merged " + std::to_string(results.size()) +
+                                    " record(s) from " +
+                                    std::to_string(paths.size()) +
+                                    " shard(s)");
+  return render_results(std::move(results), csv, json, header.str(), out,
+                        err);
 }
 
 }  // namespace findep::runtime

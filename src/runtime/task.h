@@ -1,17 +1,17 @@
-// The task wire format: serializable sweep tasks and results (JSONL).
+// The sweep pipeline and its task wire format (JSONL).
 //
-// A distributed sweep is the in-process sweep cut at the global work
-// queue: the coordinator expands the selected catalog into `TaskSpec`
-// lines (`--emit-tasks`), any number of workers execute tasks through the
-// same registry + TaskSource/ResultCollector seam the in-process sweep
-// uses (`--worker`: task JSONL on stdin, `TaskResult` JSONL on stdout),
-// and a merge step gathers the result shards back into the standard
-// MetricsSink rendering (`--merge`). Because a worker derives the run
-// seed exactly like `SweepRunner` (`derive_seed(base_seed, run_index)`)
-// and doubles travel as 17-significant-digit shortest-round-trip text,
-// the merged table/CSV/JSON is byte-identical to sweeping the same
-// catalog in one process — the repo's reproducibility contract survives
-// sharding.
+// A sweep is one pipeline: expand the selected catalog into tasks,
+// execute them on a worker pool, render the results. The in-process sweep
+// runs it in memory; a distributed sweep cuts it at the task list: the
+// coordinator prints the expanded tasks as `TaskSpec` lines
+// (`--emit-tasks`), any number of workers execute them through the same
+// source/collector pair (`--worker`: task JSONL on stdin, `TaskResult`
+// JSONL on stdout), and a merge step renders the result shards through
+// the same renderer (`--merge`). Because both sides derive the run seed
+// as `derive_seed(base_seed, run_index)` and doubles travel as
+// 17-significant-digit shortest-round-trip text, the merged
+// table/CSV/JSON is byte-identical to sweeping the same catalog in one
+// process — the repo's reproducibility contract survives sharding.
 //
 // Wire schema (one JSON object per line; doubles may be the bare tokens
 // `inf`, `-inf`, `nan` — a deliberate JSONL extension, parsed by this
@@ -24,15 +24,15 @@
 //           "seed": N, "run_index": N, "metrics": {...}}   (ok)
 //           {..., "error": "..."}                          (failed run)
 //
-// `sequence` is the scenario instance's position in the emitted catalog;
-// the merge orders scenarios by it (ties by first appearance), which
-// reproduces the in-process suite order no matter how tasks were sharded.
+// `sequence` is the scenario instance's position in the expanded catalog;
+// the renderer orders scenarios by it (ties by first appearance), so the
+// catalog order survives any sharding.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "runtime/metrics.h"
@@ -82,30 +82,51 @@ struct TaskResult {
 [[nodiscard]] TaskSpec task_spec_from_json(const std::string& text);
 [[nodiscard]] TaskResult task_result_from_json(const std::string& text);
 
-// --- the three pipeline stages ---------------------------------------------
+// --- the sweep pipeline: expand → execute → render ------------------------
+// The in-process sweep is this pipeline run in memory; `--emit-tasks`,
+// `--worker` and `--merge` each run one stage of it across processes.
 
-/// One selected family with its (possibly axis-overridden) grids, in
-/// catalog order — what `run_families_main` resolves from `--family` /
-/// `--set` before either sweeping in-process or emitting tasks.
-using FamilySelection =
-    std::vector<std::pair<const ScenarioFamily*, std::vector<ParamGrid>>>;
+/// A TaskSpec bound to the scenario instance that executes it.
+struct BoundTask {
+  TaskSpec spec;
+  std::shared_ptr<const Scenario> scenario;
+};
 
-/// Coordinator: expands `selection` into task JSONL on `out`,
-/// scenario-major (all run indices of one instance consecutively),
-/// `num_seeds` tasks per instance, `sequence` numbering instances in
-/// catalog order. Instances whose name does not contain `only`, or does
-/// contain a non-empty `exclude`, are skipped (same filters as the
-/// in-process sweep). Factories run once per instance so parameter
-/// validation fails here, not on a worker. Returns the number of tasks
-/// emitted; throws on a factory error.
-std::size_t emit_task_catalog(const FamilySelection& selection,
-                              const SweepOptions& sweep,
-                              const std::string& only,
-                              const std::string& exclude, std::ostream& out);
+/// Expand: the selected catalog as tasks, scenario-major (all run
+/// indices of one instance consecutively), `sweep.num_seeds` tasks per
+/// instance, `sequence` numbering instances in catalog order. Instances
+/// whose name does not contain `only`, or does contain a non-empty
+/// `exclude`, are skipped after numbering, so a filtered catalog keeps
+/// its sequence numbers. Each factory runs once per instance, whose
+/// tasks share the result, so parameter validation fails here rather
+/// than on a worker. Throws std::invalid_argument naming the family when
+/// a factory throws or returns null.
+[[nodiscard]] std::vector<BoundTask> expand_catalog(
+    const FamilySelection& selection, const SweepOptions& sweep,
+    const std::string& only, const std::string& exclude);
 
-/// Worker: reads task JSONL from `in` (blank lines ignored), executes
-/// every task through the global registry on `threads` workers via the
-/// run_task_pool seam, and streams result JSONL to `out` in input order.
+/// Execute: drains `tasks` through run_task_pool on `threads` workers
+/// (0 = hardware concurrency). Returns one result per task, in task order
+/// whatever the completion order; a run that threw carries its message in
+/// `record.error`. When `stream` is given, each result is also written to
+/// it as a JSONL line in task order, as soon as every earlier task is
+/// done.
+std::vector<TaskResult> execute_tasks(const std::vector<BoundTask>& tasks,
+                                      std::size_t threads,
+                                      std::ostream* stream = nullptr);
+
+/// The in-process sweep: executes `tasks` on `options.sweep.threads`
+/// workers and renders them exactly as a merge of their worker shards:
+/// `options.json` / `options.csv`, otherwise tables under a banner with
+/// the process counters below. Failed runs are reported on `err`. Returns
+/// 1 when any run failed, else 0.
+int run_sweep(const std::vector<BoundTask>& tasks,
+              const SuiteOptions& options, std::ostream& out,
+              std::ostream& err);
+
+/// Worker: reads task JSONL from `in` (blank lines ignored), binds every
+/// task to its instance through the global registry, executes them on
+/// `threads` workers and streams result JSONL to `out` in input order.
 /// A malformed line or an unknown family is a protocol error: reported on
 /// `err` with its line number, exit code 2, nothing executed. A task
 /// whose factory rejects its parameters or whose run throws becomes an
@@ -114,15 +135,12 @@ std::size_t emit_task_catalog(const FamilySelection& selection,
 int run_worker(std::istream& in, std::ostream& out, std::ostream& err,
                std::size_t threads);
 
-/// Merge: reads result JSONL from `paths` (a path of "-" means stdin),
-/// groups records by (family, scenario, sequence) — sequence keeps
-/// same-named catalog instances apart — ordered by (sequence, first
-/// appearance), and renders through MetricsSink: `csv`/`json` exactly as
-/// the in-process sweep would, otherwise tables under a shard-count
-/// banner.
-/// Duplicate (scenario, seed, run_index) records — overlapping shards —
-/// and unreadable files or lines are reported on `err` with exit code 2.
-/// Returns 1 when any merged record carries an error, else 0.
+/// Merge: reads result JSONL from `paths` (a path of "-" means stdin) and
+/// renders it as the in-process sweep would: `csv`/`json` byte-identical,
+/// otherwise tables under a shard-count banner. Duplicate (scenario,
+/// seed, run_index) records — overlapping shards — and unreadable files
+/// or lines are reported on `err` with exit code 2. Returns 1 when any
+/// merged record carries an error, else 0.
 int merge_shards(const std::vector<std::string>& paths, bool csv, bool json,
                  std::ostream& out, std::ostream& err);
 

@@ -1,7 +1,8 @@
 // The campaign engine: spec parsing and rejection, target fleets, fault
 // planning, outcome classification on known-good and known-violated runs,
-// cell seed-determinism, the paper's safety-threshold cross-check, and
-// the distributed shard pipeline's byte-identity for campaign cells.
+// cell seed-determinism, the paper's safety-threshold cross-check,
+// findep-bench's `--spec` / `--report` flags, and the distributed shard
+// pipeline's byte-identity for campaign cells.
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -18,6 +19,7 @@
 #include "campaign/spec.h"
 #include "campaign/target.h"
 #include "config/catalog.h"
+#include "runtime/registry.h"
 #include "runtime/suite.h"
 #include "runtime/task.h"
 
@@ -29,16 +31,51 @@ using campaign::CampaignSpec;
 using campaign::FaultKind;
 using campaign::FaultPlan;
 
+/// Writes `text` to a fresh spec file and returns its path.
+std::string write_spec(const std::string& name, const std::string& text) {
+  const std::string path = ::testing::TempDir() + "findep_" + name + ".spec";
+  std::ofstream(path) << text;
+  return path;
+}
+
+/// The uniform options findep-bench parses from `args` once the campaign
+/// flags are lowered.
+runtime::SuiteOptions lowered_options(const std::vector<std::string>& args) {
+  const campaign::CampaignCommand command =
+      campaign::lower_campaign_flags(args);
+  EXPECT_FALSE(command.report.has_value());
+  std::vector<const char*> argv{"findep-bench"};
+  for (const std::string& arg : command.args) argv.push_back(arg.c_str());
+  runtime::SuiteOptions options;
+  std::ostringstream err;
+  EXPECT_TRUE(runtime::parse_suite_options(static_cast<int>(argv.size()),
+                                           argv.data(), options, err))
+      << err.str();
+  return options;
+}
+
+/// The PBFT campaign cells (one task each) that `--spec` with `spec_text`
+/// plus `extra` flags expands to, through the driver's own selection and
+/// catalog expansion; the HotStuff block (`proto=` cells) is left out.
+std::vector<runtime::BoundTask> spec_cells(
+    const std::string& spec_text, std::vector<std::string> extra = {}) {
+  extra.insert(extra.begin(), {"--spec", write_spec("cells", spec_text)});
+  const runtime::SuiteOptions options = lowered_options(extra);
+  return runtime::expand_catalog(runtime::select_families(options),
+                                 {.num_seeds = 1}, "", "proto=");
+}
+
 // --- spec parsing -----------------------------------------------------------
 
 TEST(CampaignSpec, ParsesAxesCommentsAndSeeds) {
-  const CampaignSpec spec = campaign::parse_campaign_spec(
+  const std::string text =
       "# nightly resilience campaign\n"
       "target = uniform, diverse\n"
       "\n"
       "fault  = crash, collude, corrupt   # three kinds\n"
       "rate   = 1.0, 0.5\n"
-      "seeds  = 3\n");
+      "seeds  = 3\n";
+  const CampaignSpec spec = campaign::parse_campaign_spec(text);
   ASSERT_EQ(spec.overrides.size(), 3u);
   EXPECT_EQ(spec.overrides[0].first, "target");
   EXPECT_EQ(spec.overrides[0].second,
@@ -51,20 +88,18 @@ TEST(CampaignSpec, ParsesAxesCommentsAndSeeds) {
   EXPECT_EQ(*spec.seeds, 3u);
 
   // 2 targets x 3 faults x 2 rates x default n axis (one value).
-  EXPECT_EQ(campaign::campaign_grid(spec).size(), 12u);
+  EXPECT_EQ(spec_cells(text).size(), 12u);
 }
 
 TEST(CampaignSpec, AppliedGridKeepsDefaultAxes) {
-  const CampaignSpec spec =
-      campaign::parse_campaign_spec("fault = crash\nrate = 0.5\n");
-  const runtime::ParamGrid grid = campaign::campaign_grid(spec);
+  const std::vector<runtime::BoundTask> cells =
+      spec_cells("fault = crash\nrate = 0.5\n");
   // All four default targets survive; fault and rate collapse to one.
-  EXPECT_EQ(grid.size(), 4u);
-  const std::vector<runtime::ParamSet> cells = grid.expand();
-  for (const runtime::ParamSet& cell : cells) {
-    EXPECT_EQ(cell.get_string("fault"), "crash");
-    EXPECT_EQ(cell.get_double("rate"), 0.5);
-    EXPECT_EQ(cell.get_size("n"), 7u);
+  EXPECT_EQ(cells.size(), 4u);
+  for (const runtime::BoundTask& cell : cells) {
+    EXPECT_EQ(cell.spec.params.get_string("fault"), "crash");
+    EXPECT_EQ(cell.spec.params.get_double("rate"), 0.5);
+    EXPECT_EQ(cell.spec.params.get_size("n"), 7u);
   }
 }
 
@@ -110,6 +145,86 @@ TEST(CampaignSpec, RejectsDuplicatesAndOverlaps) {
   }
   EXPECT_THROW((void)campaign::parse_campaign_spec("seeds = 2\nseeds = 3\n"),
                std::invalid_argument);
+}
+
+// --- findep-bench's campaign flags ------------------------------------------
+
+TEST(CampaignFlags, SpecSelectsTheCampaignFamily) {
+  const std::string path = write_spec("select", "fault = crash\n");
+  const runtime::SuiteOptions options =
+      lowered_options({"--spec", path, "--json"});
+  const runtime::FamilySelection selection =
+      runtime::select_families(options);
+  ASSERT_EQ(selection.size(), 1u);
+  EXPECT_EQ(selection[0].first->name, "campaign");
+  EXPECT_TRUE(options.json);
+  // Naming the campaign family as well is redundant, not an error.
+  EXPECT_EQ(runtime::select_families(
+                lowered_options({"--family", "campaign", "--spec", path}))
+                .size(),
+            1u);
+  // Without --spec the command line passes through untouched.
+  const std::vector<std::string> plain = {"--family", "bft_scaling", "--json"};
+  EXPECT_EQ(campaign::lower_campaign_flags(plain).args, plain);
+}
+
+TEST(CampaignFlags, SpecSeedsApplyUnlessTheCommandLineGivesSeeds) {
+  const std::string path = write_spec("seeds", "fault = crash\nseeds = 4\n");
+  EXPECT_EQ(lowered_options({"--spec", path}).sweep.num_seeds, 4u);
+  // The command line wins on either side of --spec.
+  EXPECT_EQ(lowered_options({"--spec", path, "--seeds", "2"}).sweep.num_seeds,
+            2u);
+  EXPECT_EQ(lowered_options({"--seeds", "2", "--spec", path}).sweep.num_seeds,
+            2u);
+  // A spec without `seeds` keeps the driver default.
+  EXPECT_EQ(lowered_options({"--spec", write_spec("noseeds", "rate = 1\n")})
+                .sweep.num_seeds,
+            runtime::SuiteOptions{}.sweep.num_seeds);
+}
+
+TEST(CampaignFlags, LaterSetOverridesTheSpecAxis) {
+  const std::vector<runtime::BoundTask> cells =
+      spec_cells("fault = crash, corrupt\nrate = 0.5\n",
+                 {"--set", "fault=collude"});
+  EXPECT_EQ(cells.size(), 4u);  // four default targets x collude x 0.5
+  for (const runtime::BoundTask& cell : cells) {
+    EXPECT_EQ(cell.spec.params.get_string("fault"), "collude");
+    EXPECT_EQ(cell.spec.params.get_double("rate"), 0.5);
+  }
+}
+
+TEST(CampaignFlags, SpecWithAnotherFamilyIsAUsageError) {
+  // `n` is an axis of bft_scaling too: a spec's `n = 7` would silently
+  // re-aim any other selected family, so the combination is refused.
+  const std::string path = write_spec("family", "n = 7\n");
+  for (const char* families :
+       {"bft_scaling", "campaign,bft_churn", "two_tier"}) {
+    EXPECT_THROW((void)campaign::lower_campaign_flags(
+                     {"--spec", path, "--family", families}),
+                 std::invalid_argument)
+        << families;
+  }
+  EXPECT_THROW((void)campaign::lower_campaign_flags({"--spec"}),
+               std::invalid_argument);
+  EXPECT_THROW(
+      (void)campaign::lower_campaign_flags({"--spec", "/nonexistent.spec"}),
+      std::runtime_error);
+}
+
+TEST(CampaignFlags, ReportTakesTheRestOfTheCommandLine) {
+  const campaign::CampaignCommand command =
+      campaign::lower_campaign_flags({"--json", "--report", "a.jsonl", "-"});
+  ASSERT_TRUE(command.report.has_value());
+  EXPECT_EQ(*command.report, (std::vector<std::string>{"a.jsonl", "-"}));
+
+  // `--report` with no shard is a usage error: exit code 2.
+  const campaign::CampaignCommand bare =
+      campaign::lower_campaign_flags({"--report"});
+  ASSERT_TRUE(bare.report.has_value());
+  std::ostringstream out, err;
+  EXPECT_EQ(campaign::report_main(*bare.report, out, err), 2);
+  EXPECT_NE(err.str().find("usage"), std::string::npos);
+  EXPECT_TRUE(out.str().empty());
 }
 
 // --- target fleets ----------------------------------------------------------
@@ -394,14 +509,12 @@ runtime::FamilySelection campaign_selection() {
 
 std::string run_in_process(const runtime::FamilySelection& selection,
                            const runtime::SuiteOptions& options) {
-  runtime::ScenarioSuite suite("");
-  for (const auto& [family, grids] : selection) {
-    for (auto& scenario : runtime::instantiate_family(*family, grids)) {
-      suite.add(std::move(scenario));
-    }
-  }
   std::ostringstream out, err;
-  EXPECT_EQ(suite.run(options, out, err), 0) << err.str();
+  EXPECT_EQ(runtime::run_sweep(
+                runtime::expand_catalog(selection, options.sweep, "", ""),
+                options, out, err),
+            0)
+      << err.str();
   return out.str();
 }
 
@@ -414,7 +527,10 @@ TEST(CampaignDistributed, TwoShardMergeIsByteIdenticalToInProcess) {
 
   // Round-robin shard the emitted tasks across two workers, then merge.
   std::ostringstream tasks;
-  (void)runtime::emit_task_catalog(selection, options.sweep, "", "", tasks);
+  for (const runtime::BoundTask& task :
+       runtime::expand_catalog(selection, options.sweep, "", "")) {
+    tasks << runtime::to_json(task.spec) << '\n';
+  }
   std::vector<std::string> shard_tasks(2);
   std::istringstream task_lines(tasks.str());
   std::string line;

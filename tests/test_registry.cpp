@@ -15,6 +15,7 @@
 #include "runtime/registry.h"
 #include "runtime/suite.h"
 #include "runtime/sweep.h"
+#include "runtime/task.h"
 
 namespace findep::runtime {
 namespace {
@@ -209,18 +210,20 @@ TEST(ScenarioRegistry, Fig1EntropyStaysBelowBft8ForEveryX) {
   const ScenarioFamily* family =
       ScenarioRegistry::global().find("fig1_entropy");
   ASSERT_NE(family, nullptr);
-  for (const auto& scenario : instantiate_family(*family, family->grids)) {
-    const MetricRecord metrics = scenario->run(RunContext{1, 0});
-    EXPECT_LT(metrics.get("entropy_bits"), 3.0) << scenario->name();
-    EXPECT_GT(metrics.get("gap_to_bft8_bits"), 0.0) << scenario->name();
+  for (const BoundTask& task :
+       expand_catalog({{family, family->grids}}, {.num_seeds = 1}, "", "")) {
+    const MetricRecord metrics = task.scenario->run(RunContext{1, 0});
+    EXPECT_LT(metrics.get("entropy_bits"), 3.0) << task.scenario->name();
+    EXPECT_GT(metrics.get("gap_to_bft8_bits"), 0.0) << task.scenario->name();
   }
 }
 
-TEST(ScenarioRegistry, InstantiateExpandsEveryGrid) {
+TEST(ScenarioRegistry, CatalogExpandsEveryGrid) {
   const ScenarioFamily* family =
       ScenarioRegistry::global().find("bft_scaling");
   ASSERT_NE(family, nullptr);
-  const auto scenarios = instantiate_family(*family, family->grids);
+  const auto scenarios =
+      expand_catalog({{family, family->grids}}, {.num_seeds = 1}, "", "");
   EXPECT_EQ(scenarios.size(), family->instance_count());
   // 6 sizes + 4 fault mixes + the modeled-crypto worker lane (2 sizes ×
   // 4 worker counts) + the protocol-comparison lane (4 sizes × 2
@@ -237,7 +240,7 @@ TEST(ScenarioRegistry, InstantiateExpandsEveryGrid) {
 // pool compromise).
 TEST(GlobalQueue, SuiteSweepBitIdenticalToSerialAcrossFamilies) {
   const ScenarioRegistry& registry = ScenarioRegistry::global();
-  std::vector<std::unique_ptr<Scenario>> scenarios;
+  FamilySelection selection;
   for (const char* name :
        {"diversity_audit", "two_tier", "safety_condition",
         "pool_compromise"}) {
@@ -251,54 +254,48 @@ TEST(GlobalQueue, SuiteSweepBitIdenticalToSerialAcrossFamilies) {
       grid.override_axis("zipf", {"1"});
       grid.override_axis("trials", {"200"});
     }
-    for (auto& scenario : instantiate_family(*family, grids)) {
-      scenarios.push_back(std::move(scenario));
-    }
+    selection.emplace_back(family, std::move(grids));
   }
-  ASSERT_GE(scenarios.size(), 7u);
+  const std::vector<BoundTask> tasks =
+      expand_catalog(selection, {.base_seed = 11, .num_seeds = 3}, "", "");
+  ASSERT_GE(tasks.size(), 7u * 3u);
 
-  std::vector<const Scenario*> pointers;
-  for (const auto& scenario : scenarios) pointers.push_back(scenario.get());
-
-  const auto serial =
-      SweepRunner({.base_seed = 11, .num_seeds = 3, .threads = 1})
-          .run_all(pointers);
-  const auto parallel =
-      SweepRunner({.base_seed = 11, .num_seeds = 3, .threads = 8})
-          .run_all(pointers);
+  const auto serial = execute_tasks(tasks, /*threads=*/1);
+  const auto parallel = execute_tasks(tasks, /*threads=*/8);
+  ASSERT_EQ(serial.size(), tasks.size());
   ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t s = 0; s < serial.size(); ++s) {
-    ASSERT_EQ(serial[s].size(), parallel[s].size());
-    for (std::size_t i = 0; i < serial[s].size(); ++i) {
-      ASSERT_TRUE(serial[s][i].ok()) << pointers[s]->name();
-      ASSERT_TRUE(parallel[s][i].ok()) << pointers[s]->name();
-      EXPECT_EQ(serial[s][i].seed, parallel[s][i].seed);
-      // operator== compares doubles exactly: bit-identical, not "close".
-      EXPECT_TRUE(serial[s][i].metrics == parallel[s][i].metrics)
-          << pointers[s]->name() << " seed index " << i;
-    }
+  for (std::size_t t = 0; t < serial.size(); ++t) {
+    const std::string& name = serial[t].scenario;
+    ASSERT_TRUE(serial[t].record.ok()) << name;
+    ASSERT_TRUE(parallel[t].record.ok()) << name;
+    EXPECT_EQ(serial[t].record.seed, parallel[t].record.seed);
+    // operator== compares doubles exactly: bit-identical, not "close".
+    EXPECT_TRUE(serial[t].record.metrics == parallel[t].record.metrics)
+        << name << " seed index " << serial[t].record.run_index;
   }
 }
 
 TEST(GlobalQueue, FillsWorkersAcrossScenariosAtOneSeed) {
   // 6 one-seed scenarios on 6 threads: the global queue must execute all
-  // of them (the old per-scenario pools would have used 1 thread each in
+  // of them (per-scenario pools would have used 1 thread each in
   // sequence — observable only as wasted wall-clock, so here we just pin
   // the result shape).
-  std::vector<std::unique_ptr<Scenario>> owned;
-  std::vector<const Scenario*> pointers;
-  for (int i = 0; i < 6; ++i) {
-    owned.push_back(std::make_unique<LabeledScenario>(
-        "q/" + std::to_string(i), static_cast<double>(i)));
-    pointers.push_back(owned.back().get());
-  }
-  const auto results =
-      SweepRunner({.base_seed = 5, .num_seeds = 1, .threads = 6})
-          .run_all(pointers);
+  ScenarioFamily family;
+  family.name = "q";
+  family.grids = {ParamGrid{{"i", {0, 1, 2, 3, 4, 5}}}};
+  family.factory = [](const ParamSet& p) {
+    return std::make_unique<LabeledScenario>(
+        "q/" + std::to_string(p.get_int("i")),
+        static_cast<double>(p.get_int("i")));
+  };
+  const auto results = execute_tasks(
+      expand_catalog({{&family, family.grids}},
+                     {.base_seed = 5, .num_seeds = 1}, "", ""),
+      /*threads=*/6);
   ASSERT_EQ(results.size(), 6u);
   for (std::size_t s = 0; s < results.size(); ++s) {
-    ASSERT_EQ(results[s].size(), 1u);
-    EXPECT_DOUBLE_EQ(results[s][0].metrics.get("value"),
+    EXPECT_EQ(results[s].sequence, s);
+    EXPECT_DOUBLE_EQ(results[s].record.metrics.get("value"),
                      static_cast<double>(s));
   }
 }
@@ -333,16 +330,14 @@ TEST(GoldenOutput, CsvAndJsonForParameterizedFamily) {
     return std::make_unique<GoldenScenario>(p.get_int("a"), p.get_int("b"));
   };
 
-  ScenarioSuite suite("");
-  for (auto& scenario : instantiate_family(family, family.grids)) {
-    suite.add(std::move(scenario));
-  }
   SuiteOptions options;
   options.sweep = {.base_seed = 9, .num_seeds = 1, .threads = 2};
+  const std::vector<BoundTask> tasks =
+      expand_catalog({{&family, family.grids}}, options.sweep, "", "");
 
   std::ostringstream csv, err;
   options.csv = true;
-  ASSERT_EQ(suite.run(options, csv, err), 0);
+  ASSERT_EQ(run_sweep(tasks, options, csv, err), 0);
   EXPECT_EQ(csv.str(),
             "family,scenario,seeds,metric,mean,stddev,min,max\n"
             "golden,golden/a=1 b=3,1,combined,13,0,13,13\n"
@@ -357,7 +352,7 @@ TEST(GoldenOutput, CsvAndJsonForParameterizedFamily) {
   std::ostringstream json, err2;
   options.csv = false;
   options.json = true;
-  ASSERT_EQ(suite.run(options, json, err2), 0);
+  ASSERT_EQ(run_sweep(tasks, options, json, err2), 0);
   const std::string seed = std::to_string(derive_seed(9, 0));
   std::string expected = "{\n  \"scenarios\": [";
   bool first = true;

@@ -1,15 +1,19 @@
 // The experiment runtime: sweep determinism, deterministic merging, and
-// the suite driver.
+// the in-process sweep driver.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 
 #include "runtime/metrics.h"
+#include "runtime/registry.h"
 #include "runtime/scenario.h"
 #include "runtime/suite.h"
 #include "runtime/sweep.h"
+#include "runtime/task.h"
 #include "scenarios/bft_scaling.h"
 
 namespace findep::runtime {
@@ -38,6 +42,29 @@ class FailingScenario : public Scenario {
   }
 };
 
+/// Sweeps one scenario through the pipeline (expand → execute) as the
+/// single instance of a local, unregistered family; returns its records
+/// by run index.
+std::vector<RunRecord> sweep_one(
+    const std::function<std::unique_ptr<Scenario>()>& make,
+    const SweepOptions& options) {
+  ScenarioFamily family;
+  family.name = "local";
+  family.factory = [&](const ParamSet&) { return make(); };
+  std::vector<RunRecord> records;
+  for (TaskResult& result :
+       execute_tasks(expand_catalog({{&family, {}}}, options, "", ""),
+                     options.threads)) {
+    records.push_back(std::move(result.record));
+  }
+  return records;
+}
+
+template <typename S, typename... Args>
+std::function<std::unique_ptr<Scenario>()> make(Args... args) {
+  return [=] { return std::make_unique<S>(args...); };
+}
+
 TEST(MetricRecord, KeepsInsertionOrderAndOverwrites) {
   MetricRecord m;
   m.set("b", 2.0);
@@ -61,10 +88,9 @@ TEST(DeriveSeed, StableAndCollisionFreeOverSweep) {
   EXPECT_NE(derive_seed(7, 0), derive_seed(8, 0));
 }
 
-TEST(SweepRunner, RecordsIndexedByRunNotCompletion) {
-  EchoScenario scenario;
-  const SweepRunner runner({.base_seed = 3, .num_seeds = 16, .threads = 8});
-  const auto records = runner.run(scenario);
+TEST(Sweep, RecordsIndexedByRunNotCompletion) {
+  const auto records = sweep_one(
+      make<EchoScenario>(), {.base_seed = 3, .num_seeds = 16, .threads = 8});
   ASSERT_EQ(records.size(), 16u);
   for (std::size_t i = 0; i < records.size(); ++i) {
     EXPECT_EQ(records[i].run_index, i);
@@ -78,14 +104,13 @@ TEST(SweepRunner, RecordsIndexedByRunNotCompletion) {
 // scenario on >= 4 worker threads produces per-seed metrics bit-identical
 // to the serial run (each worker owns its own Simulator + SimNetwork +
 // RNG, so thread scheduling cannot leak into results).
-TEST(SweepRunner, ParallelBftSweepBitIdenticalToSerial) {
-  const scenarios::BftScalingScenario scenario({.n = 4, .requests = 3});
+TEST(Sweep, ParallelBftSweepBitIdenticalToSerial) {
+  const auto scenario = make<scenarios::BftScalingScenario>(
+      scenarios::BftScalingScenario::Params{.n = 4, .requests = 3});
   const auto serial =
-      SweepRunner({.base_seed = 42, .num_seeds = 8, .threads = 1})
-          .run(scenario);
+      sweep_one(scenario, {.base_seed = 42, .num_seeds = 8, .threads = 1});
   const auto parallel =
-      SweepRunner({.base_seed = 42, .num_seeds = 8, .threads = 4})
-          .run(scenario);
+      sweep_one(scenario, {.base_seed = 42, .num_seeds = 8, .threads = 4});
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     ASSERT_TRUE(serial[i].ok());
@@ -97,22 +122,21 @@ TEST(SweepRunner, ParallelBftSweepBitIdenticalToSerial) {
   }
 }
 
-TEST(SweepRunner, IdenticallySeededRunnersAgree) {
-  const scenarios::BftScalingScenario scenario({.n = 4, .requests = 2});
+TEST(Sweep, IdenticallySeededSweepsAgree) {
+  const auto scenario = make<scenarios::BftScalingScenario>(
+      scenarios::BftScalingScenario::Params{.n = 4, .requests = 2});
   const SweepOptions options{.base_seed = 9, .num_seeds = 4, .threads = 4};
-  const auto a = SweepRunner(options).run(scenario);
-  const auto b = SweepRunner(options).run(scenario);
+  const auto a = sweep_one(scenario, options);
+  const auto b = sweep_one(scenario, options);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_TRUE(a[i].metrics == b[i].metrics);
   }
 }
 
-TEST(SweepRunner, CapturesPerRunErrorsWithoutAbortingSweep) {
-  FailingScenario scenario;
-  const auto records =
-      SweepRunner({.base_seed = 1, .num_seeds = 4, .threads = 2})
-          .run(scenario);
+TEST(Sweep, CapturesPerRunErrorsWithoutAbortingSweep) {
+  const auto records = sweep_one(
+      make<FailingScenario>(), {.base_seed = 1, .num_seeds = 4, .threads = 2});
   ASSERT_EQ(records.size(), 4u);
   EXPECT_TRUE(records[0].ok());
   EXPECT_FALSE(records[1].ok());
@@ -138,8 +162,8 @@ TEST(MetricsSink, JsonIdenticalForSerialAndParallelSweeps) {
   const auto render = [&](std::size_t threads) {
     MetricsSink sink;
     sink.add(scenario.name(), scenario.family(),
-             SweepRunner({.base_seed = 5, .num_seeds = 8, .threads = threads})
-                 .run(scenario));
+             sweep_one(make<EchoScenario>(),
+                       {.base_seed = 5, .num_seeds = 8, .threads = threads}));
     std::ostringstream out;
     sink.print_json(out);
     return out.str();
@@ -186,21 +210,33 @@ TEST(Suite, RejectsUnknownOrTruncatedFlags) {
 }
 
 TEST(Suite, RunsMatchingScenariosAndReportsErrors) {
-  ScenarioSuite suite("test suite");
-  suite.emplace<EchoScenario>();
-  suite.emplace<FailingScenario>();
+  ScenarioFamily family;
+  family.name = "echo";
+  family.grids = {ParamGrid{{"case", {"basic", "failing"}}}};
+  family.factory = [](const ParamSet& p) -> std::unique_ptr<Scenario> {
+    if (p.get_string("case") == "basic") {
+      return std::make_unique<EchoScenario>();
+    }
+    return std::make_unique<FailingScenario>();
+  };
+  const FamilySelection selection = {{&family, family.grids}};
   SuiteOptions options;
   options.sweep = {.base_seed = 1, .num_seeds = 2, .threads = 1};
+  const auto sweep = [&](std::ostream& out, std::ostream& err) {
+    return run_sweep(expand_catalog(selection, options.sweep, options.only,
+                                    options.exclude),
+                     options, out, err);
+  };
 
   std::ostringstream out, err;
   options.only = "basic";
-  EXPECT_EQ(suite.run(options, out, err), 0);
+  EXPECT_EQ(sweep(out, err), 0);
   EXPECT_NE(out.str().find("echo"), std::string::npos);
   EXPECT_EQ(out.str().find("failing"), std::string::npos);
 
   std::ostringstream out2, err2;
   options.only = "failing";
-  EXPECT_EQ(suite.run(options, out2, err2), 1);
+  EXPECT_EQ(sweep(out2, err2), 1);
   EXPECT_NE(err2.str().find("boom"), std::string::npos);
 }
 

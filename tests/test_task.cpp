@@ -262,9 +262,9 @@ TEST(TaskResultJson, RoundTripsBothShapes) {
 
 // --- the pipeline: emit → worker → merge vs in-process ----------------------
 
-/// The four real families the suite-level determinism test pins, with the
+/// The four real families the sweep-level determinism test pins, with the
 /// same grid shrinks so the test stays fast. Sorted by name: the order
-/// run_families_main selects the whole catalog in.
+/// select_families selects the whole catalog in.
 FamilySelection shrunken_selection() {
   const ScenarioRegistry& registry = ScenarioRegistry::global();
   FamilySelection selection;
@@ -285,17 +285,26 @@ FamilySelection shrunken_selection() {
   return selection;
 }
 
-/// Renders the selection through the normal in-process suite path.
+/// Renders the selection through the in-process sweep.
 std::string run_in_process(const FamilySelection& selection,
                            const SuiteOptions& options) {
-  ScenarioSuite suite("");
-  for (const auto& [family, grids] : selection) {
-    for (auto& scenario : instantiate_family(*family, grids)) {
-      suite.add(std::move(scenario));
-    }
-  }
   std::ostringstream out, err;
-  EXPECT_EQ(suite.run(options, out, err), 0) << err.str();
+  EXPECT_EQ(run_sweep(expand_catalog(selection, options.sweep, options.only,
+                                     options.exclude),
+                      options, out, err),
+            0)
+      << err.str();
+  return out.str();
+}
+
+/// What `--emit-tasks` prints for the selection: one TaskSpec line per
+/// expanded task.
+std::string emit_tasks(const FamilySelection& selection,
+                       const SweepOptions& sweep) {
+  std::ostringstream out;
+  for (const BoundTask& task : expand_catalog(selection, sweep, "", "")) {
+    out << to_json(task.spec) << '\n';
+  }
   return out.str();
 }
 
@@ -304,14 +313,13 @@ std::string run_in_process(const FamilySelection& selection,
 std::string run_distributed(const FamilySelection& selection,
                             const SuiteOptions& options, std::size_t shards,
                             bool csv, bool json) {
-  std::ostringstream tasks;
-  emit_task_catalog(selection, options.sweep, options.only, "", tasks);
+  const std::string tasks = emit_tasks(selection, options.sweep);
 
   // Round-robin sharding: deliberately NOT contiguous, so the merge's
   // sequence-based ordering (not shard order) is what restores catalog
   // order.
   std::vector<std::string> shard_tasks(shards);
-  std::istringstream task_lines(tasks.str());
+  std::istringstream task_lines(tasks);
   std::string line;
   std::size_t index = 0;
   while (std::getline(task_lines, line)) {
@@ -363,8 +371,8 @@ TEST(DistributedSweep, MergedShardsByteIdenticalToInProcessCsv) {
 TEST(DistributedSweep, EmitTasksShapeAndSeedDerivation) {
   const FamilySelection selection = shrunken_selection();
   SweepOptions sweep{.base_seed = 3, .num_seeds = 2, .threads = 0};
-  std::ostringstream out;
-  const std::size_t emitted = emit_task_catalog(selection, sweep, "", "", out);
+  const std::size_t emitted =
+      expand_catalog(selection, sweep, "", "").size();
 
   std::size_t instances = 0;
   for (const auto& [family, grids] : selection) {
@@ -372,7 +380,7 @@ TEST(DistributedSweep, EmitTasksShapeAndSeedDerivation) {
   }
   EXPECT_EQ(emitted, instances * sweep.num_seeds);
 
-  std::istringstream lines(out.str());
+  std::istringstream lines(emit_tasks(selection, sweep));
   std::string line;
   std::size_t count = 0;
   std::size_t last_sequence = 0;
@@ -417,13 +425,12 @@ TEST(DistributedSweep, MergeKeepsSameNamedInstancesApart) {
 }
 
 TEST(DistributedSweep, WorkerOutputIndependentOfThreadCount) {
-  const FamilySelection selection = shrunken_selection();
-  std::ostringstream tasks;
-  emit_task_catalog(selection, {.base_seed = 5, .num_seeds = 1}, "", "", tasks);
+  const std::string tasks =
+      emit_tasks(shrunken_selection(), {.base_seed = 5, .num_seeds = 1});
 
   std::string outputs[2];
   for (int i = 0; i < 2; ++i) {
-    std::istringstream in(tasks.str());
+    std::istringstream in(tasks);
     std::ostringstream out, err;
     EXPECT_EQ(run_worker(in, out, err, i == 0 ? 1 : 8), 0);
     outputs[i] = out.str();
@@ -540,7 +547,6 @@ TEST(WireFlags, MergeConsumesPathsUntilNextFlag) {
   const auto [ok, options] =
       parse({"--merge", "a.jsonl", "-", "b.jsonl", "--json"});
   ASSERT_TRUE(ok);
-  EXPECT_TRUE(options.merge_mode);
   ASSERT_EQ(options.merge.size(), 3u);
   EXPECT_EQ(options.merge[1], "-");
   EXPECT_TRUE(options.json);
