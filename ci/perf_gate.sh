@@ -8,8 +8,11 @@
 #   kind=time   rows (micro ns_per_op): FAIL when the measured mean
 #               exceeds baseline x tolerance (default 1.5x — shared
 #               runners are noisy, so time baselines carry headroom).
-#   kind=count  rows (the micro hash_work ops' SHA-256 blocks per
-#               committed request, bft_batching messages-per-request
+#   kind=count  rows (the micro hash_work ops' SHA-256 blocks and
+#               signature-check MACs per committed request —
+#               sha256_blocks_per_commit and hmac_verifies_per_commit
+#               for hash_work_pbft and hash_work_hotstuff —
+#               bft_batching messages-per-request
 #               counters, the protocol-comparison lane's message counts and
 #               commit-latency percentiles for pbft and hotstuff both,
 #               bft_churn committed_requests / stranded_replicas, and the
@@ -124,10 +127,12 @@ if need "micro/"; then
     --out "$tmp/micro.csv" > /dev/null
   awk -F, 'FNR > 1 && $4 == "ns_per_op" {print $2 "," $4 "," $5}' \
     "$tmp/micro.csv" > "$tmp/current_time.csv"
-  # The hash_work ops also count SHA-256 blocks per committed request:
-  # deterministic work, pinned exactly, so a re-hashing regression fails
-  # here even when the timers cannot see it.
-  awk -F, 'FNR > 1 && $4 == "sha256_blocks_per_commit" \
+  # The hash_work ops also count SHA-256 blocks and signature-check MACs
+  # per committed request: deterministic work, pinned exactly, so a
+  # re-hashing or re-verifying regression fails here even when the
+  # timers cannot see it.
+  awk -F, 'FNR > 1 && ($4 == "sha256_blocks_per_commit" ||
+                       $4 == "hmac_verifies_per_commit") \
            {print $2 "," $4 "," $5}' "$tmp/micro.csv" \
     >> "$tmp/current_count.csv"
 fi

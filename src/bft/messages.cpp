@@ -3,6 +3,8 @@
 #include <type_traits>
 #include <utility>
 
+#include "support/assert.h"
+
 namespace findep::bft {
 
 crypto::Digest Request::digest() const {
@@ -85,9 +87,12 @@ ViewChange::ViewChange(View new_view, SeqNum last_executed,
   h.update_u64(last_executed_);
   h.update_u64(prepared_.size());
   for (const PreparedEntry& e : prepared_) {
+#ifndef NDEBUG
+    FINDEP_ASSERT(e.batch_digest == e.batch.digest());
+#endif
     h.update_u64(e.view);
     h.update_u64(e.seq);
-    h.update(e.batch.digest().bytes);
+    h.update(e.batch_digest.bytes);
   }
   digest_ = h.finish();
 }
@@ -328,8 +333,13 @@ Envelope::Envelope(ReplicaId sender, const crypto::KeyPair& keys,
 
 bool verify_envelope(const crypto::KeyRegistry& registry,
                      const Envelope& envelope) {
-  return registry.verify(envelope.sender_key(), envelope.digest(),
-                         envelope.signature());
+  if (envelope.verified_by_ == &registry) return true;
+  if (!registry.verify(envelope.sender_key(), envelope.digest(),
+                       envelope.signature())) {
+    return false;
+  }
+  envelope.verified_by_ = &registry;
+  return true;
 }
 
 }  // namespace findep::bft

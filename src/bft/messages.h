@@ -113,6 +113,11 @@ struct PreparedEntry {
   View view = 0;
   SeqNum seq = 0;
   Batch batch;
+  /// batch.digest(), carried from the slot that hashed the batch when it
+  /// was pre-prepared, so building a view change re-hashes nothing.
+  /// ViewChange's constructor re-derives it in debug builds and fails on
+  /// a mismatch.
+  crypto::Digest batch_digest;
 };
 
 /// A replica's vote to leave for `new_view`: its stable checkpoint and
@@ -309,6 +314,13 @@ using Payload = std::variant<Request, PrePrepare, Prepare, Commit,
 /// the recipients of a shared broadcast body do not each re-hash the
 /// payload. Nothing can set the digest apart from the payload, so the
 /// signature stays bound to the payload delivered.
+///
+/// Verify once: the first successful verify_envelope records the registry
+/// it passed against, and later checks of the same body against that
+/// registry skip the MAC. Verification is a pure function of (key,
+/// digest, signature) and a registry only ever gains keys, so the
+/// recorded pass is the answer every recomputation would give. Failures
+/// are never recorded.
 class Envelope {
  public:
   /// Signs `payload` as `sender`.
@@ -328,11 +340,21 @@ class Envelope {
   }
 
  private:
+  friend bool verify_envelope(const crypto::KeyRegistry& registry,
+                              const Envelope& envelope);
+
   ReplicaId sender_ = 0;
   crypto::PublicKey sender_key_;
   Payload payload_;
   crypto::Digest digest_;
   crypto::Signature signature_;
+  /// The registry this body passed verification against, or null.
+  /// Compared, never dereferenced; a registry outlives the bodies checked
+  /// against it (a cluster owns both), so no other registry can take its
+  /// address while the record is read. Written without synchronisation:
+  /// a body belongs to one cell's network, and each cell runs start to
+  /// end on one sweep thread, so no two threads touch the same body.
+  mutable const crypto::KeyRegistry* verified_by_ = nullptr;
 };
 
 /// Digest of any payload alternative (dispatches on the variant).
@@ -347,7 +369,9 @@ class Envelope {
 /// unbatched protocol charged, keeping batch_size=1 accounting identical.
 [[nodiscard]] std::uint64_t payload_wire_bytes(const Payload& payload);
 
-/// Verifies the envelope signature over its payload digest.
+/// Verifies the envelope signature over its payload digest. A pass is
+/// recorded on the body, keyed to `registry`; only the first successful
+/// check of a body against a registry computes the MAC.
 [[nodiscard]] bool verify_envelope(const crypto::KeyRegistry& registry,
                                    const Envelope& envelope);
 

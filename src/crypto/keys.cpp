@@ -22,7 +22,12 @@ HmacKey signing_schedule(const Digest& secret) {
       Sha256{}.update(kSignatureDomain).update(secret.bytes).finish();
   return HmacKey(keyed.bytes);
 }
+
+/// MACs computed by KeyRegistry::verify on this thread (hmac_verifies()).
+thread_local std::uint64_t t_verifies = 0;
 }  // namespace
+
+std::uint64_t hmac_verifies() noexcept { return t_verifies; }
 
 KeyPair::KeyPair(Digest secret, PublicKey pub)
     : secret_(secret), pub_(pub), schedule_(signing_schedule(secret)) {}
@@ -81,6 +86,7 @@ bool KeyRegistry::verify(const PublicKey& pub,
                          const Signature& sig) const {
   const auto it = keys_.find(pub.id);
   if (it == keys_.end()) return false;
+  ++t_verifies;
   return it->second.schedule.mac(message) == sig.tag;
 }
 

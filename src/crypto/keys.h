@@ -118,6 +118,12 @@ class KeyRegistry {
   std::unordered_map<Digest, Entry> keys_;  // pub id -> key material
 };
 
+/// MACs KeyRegistry::verify computed on the calling thread since it
+/// started (a lookup of an unenrolled key computes none). A deterministic
+/// work counter like sha256_blocks(): the difference across a
+/// single-threaded run says how many signature checks it paid for.
+[[nodiscard]] std::uint64_t hmac_verifies() noexcept;
+
 }  // namespace findep::crypto
 
 template <>

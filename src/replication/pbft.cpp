@@ -433,7 +433,8 @@ void Pbft::start_view_change(View target) {
   std::vector<PreparedEntry> prepared;
   for (const auto& [seq, slot] : slots_) {
     if (slot.prepared && seq > stable_checkpoint()) {
-      prepared.push_back(PreparedEntry{slot.prepared_view, seq, slot.batch});
+      prepared.push_back(PreparedEntry{slot.prepared_view, seq, slot.batch,
+                                       slot.batch_digest});
     }
   }
   arm_viewchange_timer(target);

@@ -38,14 +38,17 @@ struct OpResult {
   std::uint64_t checksum = 0;
   /// Set by the hash_work_* ops only.
   std::optional<double> sha256_blocks_per_commit;
+  std::optional<double> hmac_verifies_per_commit;
 };
 
 /// Hash *work* of the fault-free commit path: one n=4 cluster, batch 4,
-/// 64 requests, crypto=free. SHA-256 blocks are counted from the first
-/// submit to the last execution (key set-up excluded) and divided by the
-/// committed requests. The count is deterministic, so the perf gate pins
-/// it exactly: a handler that starts re-hashing a payload, or a message
-/// whose digest is recomputed per recipient, moves it.
+/// 64 requests, crypto=free. SHA-256 blocks and signature-check MACs are
+/// counted from the first submit to the last execution (key set-up
+/// excluded) and divided by the committed requests. Both counts are
+/// deterministic, so the perf gate pins them exactly: a handler that
+/// starts re-hashing a payload, a message whose digest is recomputed per
+/// recipient, or a shared body whose signature is re-checked per
+/// recipient moves them.
 OpResult hash_work(replication::Protocol protocol, std::uint64_t seed) {
   bft::ClusterOptions options;
   options.seed = seed;
@@ -55,18 +58,20 @@ OpResult hash_work(replication::Protocol protocol, std::uint64_t seed) {
   constexpr std::size_t kRequests = 64;
   const auto start = std::chrono::steady_clock::now();
   const std::uint64_t blocks_before = crypto::sha256_blocks();
+  const std::uint64_t verifies_before = crypto::hmac_verifies();
   for (std::size_t i = 0; i < kRequests; ++i) (void)cluster.submit();
   const bool done = cluster.run_until_executed(kRequests, 120.0);
   const std::uint64_t blocks = crypto::sha256_blocks() - blocks_before;
+  const std::uint64_t verifies = crypto::hmac_verifies() - verifies_before;
   const auto stop = std::chrono::steady_clock::now();
   FINDEP_REQUIRE_MSG(done, "hash_work cluster did not commit its load");
   OpResult result;
   result.iterations = 1;
   result.seconds = std::chrono::duration<double>(stop - start).count();
   result.checksum = blocks;
-  result.sha256_blocks_per_commit =
-      static_cast<double>(blocks) /
-      static_cast<double>(cluster.completed_requests());
+  const auto commits = static_cast<double>(cluster.completed_requests());
+  result.sha256_blocks_per_commit = static_cast<double>(blocks) / commits;
+  result.hmac_verifies_per_commit = static_cast<double>(verifies) / commits;
   return result;
 }
 
@@ -317,6 +322,9 @@ runtime::MetricRecord MicroScenario::run(
               static_cast<double>(result.checksum & 0xffffffffULL));
   if (result.sha256_blocks_per_commit.has_value()) {
     metrics.set("sha256_blocks_per_commit", *result.sha256_blocks_per_commit);
+  }
+  if (result.hmac_verifies_per_commit.has_value()) {
+    metrics.set("hmac_verifies_per_commit", *result.hmac_verifies_per_commit);
   }
   return metrics;
 }

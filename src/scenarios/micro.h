@@ -23,7 +23,8 @@ class MicroScenario : public runtime::Scenario {
     /// sim_broadcast_100 (the sim_* rows are the event-engine hot path:
     /// schedule/pop, BFT-style timer churn, network broadcast fan-out),
     /// hash_work_pbft, hash_work_hotstuff (one fault-free cluster run
-    /// each; they also emit the deterministic sha256_blocks_per_commit).
+    /// each; they also emit the deterministic sha256_blocks_per_commit
+    /// and hmac_verifies_per_commit).
     std::string op = "sha256_4k";
   };
 

@@ -131,6 +131,96 @@ TEST(BftAdversarial, EnvelopeDigestIsBoundAtConstruction) {
   assigned = env;
   EXPECT_EQ(assigned.digest(), env.digest());
   EXPECT_TRUE(verify_envelope(registry, assigned));
+  // A copy taken before the body was ever checked verifies on its own.
+  const Envelope fresh(2, keys, Commit{1, 4, crypto::sha256("c")});
+  const Envelope early_copy = fresh;
+  EXPECT_TRUE(verify_envelope(registry, early_copy));
+  EXPECT_TRUE(verify_envelope(registry, fresh));
+}
+
+TEST(BftAdversarial, EnvelopeVerifiesOncePerRegistry) {
+  const crypto::KeyPair keys = crypto::KeyPair::derive(7);
+  crypto::KeyRegistry registry;
+  registry.enroll(keys);
+  const Envelope env(1, keys, Commit{0, 1, crypto::sha256("x")});
+  const std::uint64_t before = crypto::hmac_verifies();
+  EXPECT_TRUE(verify_envelope(registry, env));
+  EXPECT_TRUE(verify_envelope(registry, env));
+  EXPECT_TRUE(verify_envelope(registry, env));
+  EXPECT_EQ(crypto::hmac_verifies() - before, 1u);
+}
+
+TEST(BftAdversarial, EnvelopeFromUnenrolledKeyFailsEveryTime) {
+  const crypto::KeyPair member = crypto::KeyPair::derive(7);
+  const crypto::KeyPair outsider = crypto::KeyPair::derive(8);
+  crypto::KeyRegistry registry;
+  registry.enroll(member);
+  const Envelope forged(0, outsider, Commit{0, 1, crypto::sha256("x")});
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_FALSE(verify_envelope(registry, forged)) << "call " << i;
+  }
+}
+
+TEST(BftAdversarial, EnvelopeFailureIsNotRecorded) {
+  // Only passes are recorded: a body that failed because its key was not
+  // enrolled yet verifies once the key is.
+  const crypto::KeyPair keys = crypto::KeyPair::derive(7);
+  crypto::KeyRegistry registry;
+  const Envelope env(0, keys, Commit{0, 1, crypto::sha256("x")});
+  EXPECT_FALSE(verify_envelope(registry, env));
+  registry.enroll(keys);
+  EXPECT_TRUE(verify_envelope(registry, env));
+}
+
+TEST(BftAdversarial, EnvelopePassIsKeyedToItsRegistry) {
+  // A body that passed against registry A proves nothing to registry B,
+  // which lacks the key; A still accepts it afterwards.
+  const crypto::KeyPair keys = crypto::KeyPair::derive(7);
+  crypto::KeyRegistry with_key;
+  with_key.enroll(keys);
+  crypto::KeyRegistry without_key;
+  without_key.enroll(crypto::KeyPair::derive(8));
+  const Envelope env(0, keys, Commit{0, 1, crypto::sha256("x")});
+  EXPECT_TRUE(verify_envelope(with_key, env));
+  EXPECT_FALSE(verify_envelope(without_key, env));
+  const Envelope copy = env;
+  EXPECT_FALSE(verify_envelope(without_key, copy));
+  EXPECT_TRUE(verify_envelope(with_key, env));
+  EXPECT_TRUE(verify_envelope(with_key, copy));
+}
+
+TEST(BftAdversarial, VerifiedBodyArrivingCorruptedIsStillRejected) {
+  // The corruption check runs per delivery, ahead of the recorded pass:
+  // one shared body delivered clean, then bit-flipped, then clean again
+  // is dispatched twice and rejected once, and only its first delivery
+  // computes a MAC. A state response's wire bytes are tallied on every
+  // dispatch, so they count the dispatches.
+  constexpr std::uint64_t kSeed = 39;
+  BftCluster cluster(4, fast_options(kSeed));
+  const crypto::KeyPair replica1 = crypto::KeyPair::derive(kSeed * 1000003 + 1);
+  const net::Envelope wire(Envelope(1, replica1, StateResponse{}));
+  constexpr std::uint64_t kBytes = 300;
+
+  const std::uint64_t before = crypto::hmac_verifies();
+  cluster.network().send(1, 0, wire, kBytes);
+  cluster.run_for(1.0);
+  EXPECT_EQ(cluster.replica(0).state_transfer_bytes(), kBytes);
+  EXPECT_EQ(crypto::hmac_verifies() - before, 1u);
+
+  cluster.network().set_corrupt_policy(
+      [](net::NodeId, net::NodeId) { return true; });
+  cluster.network().send(1, 0, wire, kBytes);
+  cluster.run_for(1.0);
+  EXPECT_EQ(cluster.replica(0).state_transfer_bytes(), kBytes);
+  EXPECT_EQ(cluster.replica(0).corrupted_rejected(), 1u);
+  EXPECT_EQ(cluster.network().stats().messages_corrupted, 1u);
+
+  cluster.network().set_corrupt_policy(nullptr);
+  cluster.network().send(1, 0, wire, kBytes);
+  cluster.run_for(1.0);
+  EXPECT_EQ(cluster.replica(0).state_transfer_bytes(), 2 * kBytes);
+  EXPECT_EQ(cluster.replica(0).corrupted_rejected(), 1u);
+  EXPECT_EQ(crypto::hmac_verifies() - before, 1u);
 }
 
 TEST(BftAdversarial, EnvelopeSignedByNonDirectoryKeyIsRejected) {

@@ -69,7 +69,8 @@ TEST(BftBatch, WireBytesScaleWithBatchAndPreparedEntries) {
   // the under-reporting fix for variable-length payloads.
   EXPECT_EQ(payload_wire_bytes(Payload{ViewChange(1, 0, {})}), 1024u);
   EXPECT_EQ(payload_wire_bytes(
-                Payload{ViewChange(1, 0, {PreparedEntry{0, 1, three}})}),
+                Payload{ViewChange(
+                    1, 0, {PreparedEntry{0, 1, three, three.digest()}})}),
             1024u + 48u + 3u * 320u);
 }
 
@@ -80,17 +81,55 @@ TEST(BftBatch, ViewChangeDigestIsPinned) {
   const Request a{1, crypto::sha256("op-a")};
   const Request b{2, crypto::sha256("op-b")};
   const Request c{3, crypto::sha256("op-c")};
+  const Batch ab{{a, b}};
+  const Batch just_c{{c}};
+  const Batch noop;
   const ViewChange vc(3, 8,
-                      {PreparedEntry{1, 9, Batch{{a, b}}},
-                       PreparedEntry{2, 10, Batch{{c}}},
-                       PreparedEntry{2, 11, Batch{}}});
+                      {PreparedEntry{1, 9, ab, ab.digest()},
+                       PreparedEntry{2, 10, just_c, just_c.digest()},
+                       PreparedEntry{2, 11, noop, noop.digest()}});
   EXPECT_EQ(vc.digest().to_hex(),
             "8eb5a46ef321deeada045336f6df16f2878fd58e3a5404d04aae68cd21080b8d");
   EXPECT_EQ(payload_digest(Payload{vc}), vc.digest());
   EXPECT_EQ(vc.new_view(), 3u);
   EXPECT_EQ(vc.last_executed(), 8u);
   ASSERT_EQ(vc.prepared().size(), 3u);
-  EXPECT_EQ(vc.prepared()[0].batch, (Batch{{a, b}}));
+  EXPECT_EQ(vc.prepared()[0].batch, ab);
+}
+
+TEST(BftBatch, ViewChangeDigestFoldsCarriedBatchDigests) {
+  // The view change folds in the batch digest each entry carries (the
+  // one its PBFT slot computed at pre-prepare) instead of re-hashing the
+  // batch. Recomputing Batch::digest() over the same entries must give
+  // the same view-change digest.
+  const Batch first{{make_request(1), make_request(2)}};
+  const Batch second{{make_request(3)}};
+  const ViewChange vc(5, 2,
+                      {PreparedEntry{4, 3, first, first.digest()},
+                       PreparedEntry{4, 4, second, second.digest()}});
+  crypto::Sha256 h;
+  h.update("findep/bft/viewchange/v1");
+  h.update_u64(5);
+  h.update_u64(2);
+  h.update_u64(2);
+  for (const PreparedEntry& e : vc.prepared()) {
+    h.update_u64(e.view);
+    h.update_u64(e.seq);
+    h.update(e.batch.digest().bytes);
+  }
+  EXPECT_EQ(vc.digest(), h.finish());
+}
+
+TEST(BftBatch, ViewChangeRejectsDigestApartFromBatchInDebugBuilds) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the batch-digest pairing is checked in debug builds";
+#else
+  const Batch batch{{make_request(1)}};
+  const Batch other{{make_request(2)}};
+  EXPECT_THROW(
+      (void)ViewChange(1, 0, {PreparedEntry{0, 1, batch, other.digest()}}),
+      support::ContractViolation);
+#endif
 }
 
 TEST(BftBatch, FullBatchesCommitAndUnrollPerRequest) {

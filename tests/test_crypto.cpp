@@ -337,6 +337,25 @@ TEST(Keys, UnenrolledKeyNeverVerifies) {
       registry.verify(keys.public_key(), "msg", keys.sign("msg")));
 }
 
+TEST(Keys, VerifyCounterCountsComputedMacs) {
+  // One MAC per check against an enrolled key, pass or fail; none for an
+  // unenrolled key (nothing to compute under).
+  const KeyPair keys = KeyPair::derive(6);
+  const KeyPair outsider = KeyPair::derive(66);
+  KeyRegistry registry;
+  registry.enroll(keys);
+  const Signature sig = keys.sign("m");
+  std::uint64_t before = hmac_verifies();
+  EXPECT_TRUE(registry.verify(keys.public_key(), "m", sig));
+  EXPECT_TRUE(registry.verify(keys.public_key(), "m", sig));
+  EXPECT_FALSE(registry.verify(keys.public_key(), "other", sig));
+  EXPECT_EQ(hmac_verifies() - before, 3u);
+  before = hmac_verifies();
+  EXPECT_FALSE(registry.verify(outsider.public_key(), "m",
+                               outsider.sign("m")));
+  EXPECT_EQ(hmac_verifies() - before, 0u);
+}
+
 TEST(Keys, SignatureTagIsPinned) {
   // Computed before signing moved onto a per-key HMAC schedule: caching
   // the schedule must not change a single signature.
